@@ -160,7 +160,10 @@ class FiniteBTree:
     def from_json(cls, data: Union[dict, str]) -> "FiniteBTree":
         if isinstance(data, str):
             data = json.loads(data)
-        return cls(tuple(Ordinal(label) for label in t) for t in data["nodes"])
+        nodes = data["nodes"]
+        if not isinstance(nodes, list) or not all(isinstance(t, list) for t in nodes):
+            raise ValueError('"nodes" must be a list of label lists')
+        return cls(tuple(Ordinal(label) for label in t) for t in nodes)
 
 
 def verify_monotone_map(

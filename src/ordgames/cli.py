@@ -19,10 +19,6 @@ from .families import TruncationBudget, budget_from_json, make_family, monotone_
 from .ordinal import Ordinal, compare, omega_pow, quot_rem_omega_pow
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _read_json(path: str):
     if path == "-":
         return json.load(sys.stdin)
@@ -181,7 +177,7 @@ def _run_family(args) -> None:
     elif args.verb == "weight":
         if args.kind != "Gamma":
             raise ValueError("weights are defined on the Gamma family only")
-        print(_frac(family.weight(path_from_text(args.path))))
+        print(games._frac_text(family.weight(path_from_text(args.path))))
     elif args.verb == "rank":
         print(family.rank(path_from_text(args.path)))
     elif args.verb == "children":
@@ -196,9 +192,9 @@ def _run_family(args) -> None:
         for branch in stream:
             if args.kind == "Gamma":
                 weights = family.prefix_weights(branch)
-                columns = [path_to_text(branch), ",".join(_frac(w) for w in weights)]
+                columns = [path_to_text(branch), ",".join(games._frac_text(w) for w in weights)]
                 if args.sum:
-                    columns.append(_frac(sum(weights, Fraction(0))))
+                    columns.append(games._frac_text(sum(weights, Fraction(0))))
                 print("\t".join(columns))
             else:
                 print(path_to_text(branch))
@@ -215,15 +211,7 @@ def _run_cb(args) -> None:
 
 def _run_game(args) -> None:
     if args.verb == "build":
-        model_data = _read_json(args.model)
-        model = games.ModelSpace(
-            dim=model_data["dim"],
-            subspaces=model_data["subspaces"],
-            compacts=model_data["compacts"],
-            functionals=model_data["functionals"],
-            epsilon=Fraction(model_data["epsilon"]),
-            norm=model_data.get("norm", "max"),
-        )
+        model = games.model_from_json(_read_json(args.model))
         game = games.build_szlenk_game(Ordinal(args.xi), _budget(args), model)
         _emit_json(games.game_to_json(game))
         return

@@ -17,6 +17,7 @@ which is why limit stages need the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import AbstractSet, Callable, FrozenSet, Hashable, Union
 
 from .ordinal import ONE, Ordinal, OrdinalError, omega_mul, omega_pow, quot_rem_omega_pow
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 
+@total_ordering
 class Infinity:
     """Marker ordered above every ordinal; ``Sz = infinity`` analogue."""
 
@@ -60,23 +62,6 @@ class Infinity:
             return True
         if isinstance(other, Infinity):
             return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (Ordinal, int, Infinity)):
-            return True
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, (Ordinal, int, Infinity)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (Ordinal, int)):
-            return False
-        if isinstance(other, Infinity):
-            return True
         return NotImplemented
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, path_to_text
 from .families import TruncationBudget, gamma_family
@@ -43,6 +43,7 @@ __all__ = [
     "game_position_count",
     "game_to_json",
     "game_from_json",
+    "model_from_json",
     "strategy_to_json",
     "strategy_from_json",
     "collections_to_json",
@@ -62,6 +63,13 @@ ZDHistory = Tuple[Offer, ...]
 
 def _dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _rational(x) -> Fraction:
+    try:
+        return Fraction(x)
+    except (ZeroDivisionError, TypeError):
+        raise ValueError(f"not a rational: {x!r}") from None
 
 
 def _zproj(history: History) -> NodePath:
@@ -92,7 +100,7 @@ class ModelSpace:
             self, "compacts", tuple(tuple(vec(x) for x in c) for c in compacts)
         )
         object.__setattr__(self, "functionals", tuple(vec(f) for f in functionals))
-        object.__setattr__(self, "epsilon", Fraction(epsilon))
+        object.__setattr__(self, "epsilon", _rational(epsilon))
         object.__setattr__(self, "norm", norm)
         if not self.subspaces or not self.compacts:
             raise ValueError("move alphabets must be non-empty")
@@ -103,7 +111,7 @@ class ModelSpace:
 
     @staticmethod
     def _vector(entries, dim) -> Vector:
-        v = tuple(Fraction(x) for x in entries)
+        v = tuple(_rational(x) for x in entries)
         if len(v) != dim:
             raise ValueError(f"vector of length {len(v)}, expected {dim}")
         return v
@@ -153,7 +161,7 @@ class GameSpec:
     ):
         if not len(tree) or not tree.validate():
             raise ValueError("tree must be a non-empty valid B-tree")
-        weights = {tuple(k): Fraction(v) for k, v in weights.items()}
+        weights = {tuple(k): _rational(v) for k, v in weights.items()}
         for node in tree.nodes:
             w = weights.get(node)
             if w is None:
@@ -229,12 +237,19 @@ class ExtractedCollections(NamedTuple):
 # -- payoff ------------------------------------------------------------------
 
 
-def _best_functional_value(game: GameSpec, leaf: History, sets) -> Optional[Fraction]:
-    """max over x* of sum_i w_i * max_{x in S_i} x*(x); None if no functionals.
+def _best_functional(
+    game: GameSpec, leaf: History
+) -> Optional[Tuple[Fraction, Vector, List[Tuple[Vector, ...]]]]:
+    """(value, least maximizing functional, selection sets) at a maximal history.
 
-    Valid because the weights are nonnegative, so each factor maximizes
-    independently for a fixed functional.
+    The value is max over x* of sum_i w_i * max_{x in S_i} x*(x), which is
+    valid because the weights are nonnegative, so each factor maximizes
+    independently for a fixed functional.  None when a selection set is empty
+    or the model has no functionals.
     """
+    sets = [game.model.selection_set(z, c) for _, z, c in leaf]
+    if not all(sets):
+        return None
     weights = game.prefix_weights(_zproj(leaf))
     best = None
     for xstar in game.model.functionals:
@@ -242,9 +257,9 @@ def _best_functional_value(game: GameSpec, leaf: History, sets) -> Optional[Frac
             (w * max(_dot(xstar, x) for x in s) for w, s in zip(weights, sets)),
             Fraction(0),
         )
-        if best is None or value > best:
-            best = value
-    return best
+        if best is None or value > best[0] or (value == best[0] and xstar < best[1]):
+            best = (value, xstar)
+    return None if best is None else (best[0], best[1], sets)
 
 
 def eval_payoff(game: GameSpec, leaf: History) -> bool:
@@ -255,11 +270,8 @@ def eval_payoff(game: GameSpec, leaf: History) -> bool:
         raise ValueError(f"{path_to_text(node)} is not maximal")
     if game.payoff != PAYOFF_SZLENK:
         return leaf in game.payoff
-    sets = [game.model.selection_set(z, c) for _, z, c in leaf]
-    if any(not s for s in sets):
-        return False
-    best = _best_functional_value(game, leaf, sets)
-    return best is not None and best >= game.model.epsilon
+    best = _best_functional(game, leaf)
+    return best is not None and best[0] >= game.model.epsilon
 
 
 # -- solving -----------------------------------------------------------------
@@ -314,79 +326,61 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     return "II", _prune_to_reachable(game, Strategy("II", ii_moves))
 
 
-def _prune_to_reachable(game: GameSpec, strategy: Strategy) -> Strategy:
-    # drop prescriptions at positions the recursion explored but the final
-    # strategy never reaches
+def _plays(game: GameSpec, strategy: Strategy) -> Iterator[tuple]:
+    """Walk every play consistent with ``strategy``, without recursion.
+
+    Yields ``(key, move)`` at each prescription met: ``key`` is a history for
+    Player I and a (history, offer) pair for Player II.  ``move`` is None when
+    the prescription is missing or illegal, and the walk does not go below it.
+    Yields ``(None, leaf)`` at each maximal history.
+    """
     tree = game.tree
-    moves: dict = {}
+    n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
+    stack: List[Tuple[History, NodePath]] = [((), ())]
+    while stack:
+        history, node = stack.pop()
+        if strategy.player == "I":
+            move = strategy.moves.get(history)
+            if move is None or node + (move[0],) not in tree or not 0 <= move[1] < n_subspaces:
+                yield history, None
+                continue
+            yield history, move
+            zeta, zi = move
+            branches = [(zeta, zi, ci) for ci in range(n_compacts)]
+        else:
+            branches = []
+            for offer in _offers(game, node):
+                ci = strategy.moves.get((history, offer))
+                if ci is None or not 0 <= ci < n_compacts:
+                    yield (history, offer), None
+                    continue
+                yield (history, offer), ci
+                branches.append(offer + (ci,))
+        for move in branches:
+            child = node + (move[0],)
+            if tree.is_max(child):
+                yield None, history + (move,)
+            else:
+                stack.append((history + (move,), child))
 
-    def walk_i(history: History, node: NodePath) -> None:
-        move = strategy.moves[history]
-        moves[history] = move
-        zeta, zi = move
-        child = node + (zeta,)
-        if tree.is_max(child):
-            return
-        for ci in range(game.n_compacts):
-            walk_i(history + ((zeta, zi, ci),), child)
 
-    def walk_ii(history: History, node: NodePath) -> None:
-        for offer in _offers(game, node):
-            zeta, zi = offer
-            ci = strategy.moves[(history, offer)]
-            moves[(history, offer)] = ci
-            child = node + (zeta,)
-            if not tree.is_max(child):
-                walk_ii(history + ((zeta, zi, ci),), child)
-
-    if strategy.player == "I":
-        walk_i((), ())
-    else:
-        walk_ii((), ())
+def _prune_to_reachable(game: GameSpec, strategy: Strategy) -> Strategy:
+    # drop prescriptions at positions the search explored but the final
+    # strategy never reaches
+    moves = {key: move for key, move in _plays(game, strategy) if key is not None}
     return Strategy(strategy.player, moves)
 
 
 def verify_strategy(game: GameSpec, strategy: Strategy) -> bool:
     """Exhaustively play every admissible playout; True iff all favor the owner."""
-    tree = game.tree
-
-    if strategy.player == "I":
-
-        def check_i(history: History, node: NodePath) -> bool:
-            move = strategy.moves.get(history)
+    owner_is_ii = strategy.player == "II"
+    for key, move in _plays(game, strategy):
+        if key is not None:
             if move is None:
                 return False
-            zeta, zi = move
-            child = node + (zeta,)
-            if child not in tree or not 0 <= zi < game.n_subspaces:
-                return False
-            for ci in range(game.n_compacts):
-                extended = history + ((zeta, zi, ci),)
-                if tree.is_max(child):
-                    if eval_payoff(game, extended):
-                        return False
-                elif not check_i(extended, child):
-                    return False
-            return True
-
-        return check_i((), ())
-
-    def check_ii(history: History, node: NodePath) -> bool:
-        for offer in _offers(game, node):
-            zeta, zi = offer
-            child = node + (zeta,)
-            ci = strategy.moves.get((history, offer))
-            if ci is None or not 0 <= ci < game.n_compacts:
-                return False
-            extended = history + ((zeta, zi, ci),)
-            if tree.is_max(child):
-                if not eval_payoff(game, extended):
-                    return False
-            elif not check_ii(extended, child):
-                return False
-        return True
-
-    return check_ii((), ())
+        elif eval_payoff(game, move) != owner_is_ii:
+            return False
+    return True
 
 
 def game_position_count(game: GameSpec) -> int:
@@ -458,35 +452,24 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
         if node + (zeta,) not in tree or not 0 <= zi < game.n_subspaces:
             raise ValueError("substrategy prescribes an illegal move")
     # every position reachable by following the substrategy must be covered
-    stack: List[History] = [()]
-    while stack:
-        history = stack.pop()
-        zeta, zi = moves[history]
-        child = _zproj(history) + (zeta,)
-        if tree.is_max(child):
-            continue
-        for ci in range(game.n_compacts):
-            extended = history + ((zeta, zi, ci),)
-            if extended not in moves:
-                raise ValueError("substrategy is undefined at a reachable position")
-            stack.append(extended)
+    if any(
+        key is not None and move is None for key, move in _plays(game, Strategy("I", moves))
+    ):
+        raise ValueError("substrategy is undefined at a reachable position")
 
     total: Dict[History, Offer] = {}
-
-    def fill(history: History, node: NodePath) -> None:
-        prescribed = moves.get(history)
-        if prescribed is None:
-            prescribed = (tree.children_labels(node)[0], fallback_z)
-        total[history] = prescribed
-        for zeta in tree.children_labels(node):
+    stack: List[Tuple[History, NodePath]] = [((), ())]
+    while stack:
+        history, node = stack.pop()
+        labels = tree.children_labels(node)
+        total[history] = moves.get(history, (labels[0], fallback_z))
+        for zeta in labels:
             child = node + (zeta,)
             if tree.is_max(child):
                 continue
             for zi in range(game.n_subspaces):
                 for ci in range(game.n_compacts):
-                    fill(history + ((zeta, zi, ci),), child)
-
-    fill((), ())
+                    stack.append((history + ((zeta, zi, ci),), child))
     return Strategy("I", total)
 
 
@@ -498,60 +481,38 @@ def _argmax_vector(xstar: Vector, candidates: Tuple[Vector, ...]) -> Vector:
     return min(x for x in candidates if _dot(xstar, x) == best_value)
 
 
-def _witness(game: GameSpec, leaf: History) -> Tuple[Vector, List[Vector]]:
-    """An exact (functional, selections) pair realizing the payoff at a leaf."""
-    sets = [game.model.selection_set(z, c) for _, z, c in leaf]
-    weights = game.prefix_weights(_zproj(leaf))
-    best_value, best_functional = None, None
-    for xstar in sorted(game.model.functionals):
-        value = sum(
-            (w * max(_dot(xstar, x) for x in s) for w, s in zip(weights, sets)),
-            Fraction(0),
-        )
-        if best_value is None or value > best_value:
-            best_value, best_functional = value, xstar
-    if best_value is None or best_value < game.model.epsilon:
-        raise ValueError("leaf does not satisfy the payoff inequality")
-    selections = [_argmax_vector(best_functional, s) for s in sets]
-    return best_functional, selections
-
-
 def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollections:
-    """Pull witness collections out of a verified winning strategy for II.
+    """Verify a winning strategy for II and pull witness collections out of it.
 
-    The compact choice at a (label, subspace) history is what the strategy
-    replies along its own play; at each maximal history the payoff inequality
-    holds, and its exact witnesses supply the functional and the selection
-    vectors, indexed by (prefix, maximal history) pairs.
+    Verification and extraction share one walk over the strategy's plays; a
+    strategy that is not a win for II raises ValueError.  The compact choice
+    at a (label, subspace) history is what the strategy replies along its own
+    play; at each maximal history the payoff inequality holds, and its exact
+    witnesses supply the functional and the selection vectors, indexed by
+    (prefix, maximal history) pairs.
     """
     if game.payoff != PAYOFF_SZLENK:
         raise ValueError("collection extraction needs the szlenk payoff")
     if strategy.player != "II":
         raise ValueError("collection extraction needs a strategy for Player II")
-    if not verify_strategy(game, strategy):
-        raise ValueError("strategy is not a verified win for Player II")
-    tree = game.tree
     compact_choices: Dict[ZDHistory, int] = {}
     functionals: Dict[ZDHistory, Vector] = {}
     selections: Dict[Tuple[ZDHistory, ZDHistory], Vector] = {}
-
-    def walk(pairs: ZDHistory, history: History, node: NodePath) -> None:
-        for offer in _offers(game, node):
-            zeta, zi = offer
-            child = node + (zeta,)
-            ci = strategy.moves[(history, offer)]
-            extended_pairs = pairs + (offer,)
-            extended = history + ((zeta, zi, ci),)
-            compact_choices[extended_pairs] = ci
-            if tree.is_max(child):
-                xstar, xs = _witness(game, extended)
-                functionals[extended_pairs] = xstar
-                for i in range(1, len(extended_pairs) + 1):
-                    selections[(extended_pairs[:i], extended_pairs)] = xs[i - 1]
-            else:
-                walk(extended_pairs, extended, child)
-
-    walk((), (), ())
+    for key, leaf in _plays(game, strategy):
+        if key is not None:
+            if leaf is None:
+                raise ValueError("strategy is not a verified win for Player II")
+            continue
+        best = _best_functional(game, leaf)
+        if best is None or best[0] < game.model.epsilon:
+            raise ValueError("strategy is not a verified win for Player II")
+        _, xstar, sets = best
+        pairs = tuple((zeta, zi) for zeta, zi, _ in leaf)
+        functionals[pairs] = xstar
+        for i, (move, s) in enumerate(zip(leaf, sets), 1):
+            prefix = pairs[:i]
+            compact_choices[prefix] = move[2]
+            selections[(prefix, pairs)] = _argmax_vector(xstar, s)
     return ExtractedCollections(compact_choices, functionals, selections)
 
 
@@ -627,21 +588,24 @@ def game_to_json(game: GameSpec) -> dict:
     return data
 
 
+def model_from_json(data: dict) -> ModelSpace:
+    return ModelSpace(
+        dim=data["dim"],
+        subspaces=data["subspaces"],
+        compacts=data["compacts"],
+        functionals=data["functionals"],
+        epsilon=data["epsilon"],
+        norm=data.get("norm", "max"),
+    )
+
+
 def game_from_json(data: Union[dict, str]) -> GameSpec:
     if isinstance(data, str):
         data = json.loads(data)
-    model_data = data["model"]
-    model = ModelSpace(
-        dim=model_data["dim"],
-        subspaces=model_data["subspaces"],
-        compacts=model_data["compacts"],
-        functionals=model_data["functionals"],
-        epsilon=Fraction(model_data["epsilon"]),
-        norm=model_data.get("norm", "max"),
-    )
+    model = model_from_json(data["model"])
     tree = FiniteBTree.from_json(data["tree"])
     weights = {
-        tuple(Ordinal(s) for s in key.split(",")): Fraction(value)
+        tuple(Ordinal(s) for s in key.split(",")): value
         for key, value in data["weights"].items()
     }
     payoff = data["payoff"]

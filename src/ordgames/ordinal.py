@@ -331,7 +331,7 @@ def _parse(text: str) -> Ordinal:
                 expect(")")
             elif peek() == "w":
                 tokens.pop()
-                exp = _OMEGA
+                exp = OMEGA
             elif peek() is not None and peek().isdigit():
                 exp = Ordinal(int(tokens.pop()))
             else:
@@ -351,4 +351,3 @@ def _parse(text: str) -> Ordinal:
 
 
 OMEGA = omega_pow(ONE)
-_OMEGA = OMEGA

@@ -17,6 +17,17 @@ GAMMA1_MODEL = {
     "norm": "max",
 }
 
+W_SZLENK_MODEL = {
+    "dim": 2,
+    "subspaces": [[], [["1", "-1"]], [["1", "1"]]],
+    "compacts": [[["1/2", "1/2"]], [["1", "0"], ["0", "1"]], [["-1/2", "1"], ["1", "-1"]]],
+    "functionals": [["1", "1"], ["1", "-1"], ["0", "1"]],
+    "epsilon": "1/2",
+    "norm": "max",
+}
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
 # This checkout's sources, so child processes run the code under test
 # whether or not the package is installed.
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -26,6 +37,12 @@ def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_domain_error(result):
+    code, out, err = result
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestOrd:
@@ -69,6 +86,8 @@ class TestTree:
         tree_file.write_text(json.dumps({"nodes": [["3", "2"]]}))
         assert run_cli(capsys, "tree", "validate", str(tree_file))[1] == "false\n"
         assert run_cli(capsys, "tree", "order", str(tree_file))[0] == 1
+        tree_file.write_text(json.dumps({"nodes": 5}))
+        assert_domain_error(run_cli(capsys, "tree", "validate", str(tree_file)))
 
 
 class TestFamily:
@@ -166,6 +185,45 @@ class TestGame:
         collections = json.loads(out)
         assert set(collections) == {"compacts", "functionals", "selections"}
         assert collections["functionals"]["1:0"] == ["1/1"]
+
+    @pytest.mark.parametrize(
+        "model, xi, max_n, golden",
+        [
+            (GAMMA1_MODEL, "1", "3", "gamma1_model_gamma1_max_n3.txt"),
+            (W_SZLENK_MODEL, "1", "2", "w_szlenk_gamma1_max_n2.txt"),
+        ],
+    )
+    def test_pipeline_golden_output(self, capsys, tmp_path, model, xi, max_n, golden):
+        # pins the exact bytes, so that a change in the strategy the solver
+        # picks or in the extracted witnesses cannot pass silently
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(model))
+        game_file = tmp_path / "game.json"
+        solution_file = tmp_path / "solution.json"
+        stdout = []
+        for argv, out_file in [
+            (["build", xi, str(model_file), "--max-n", max_n], game_file),
+            (["solve", str(game_file)], solution_file),
+            (["verify", str(game_file), str(solution_file)], None),
+            (["extract", str(game_file), str(solution_file)], None),
+        ]:
+            code, out, err = run_cli(capsys, "game", *argv)
+            assert code == 0, err
+            if out_file is not None:
+                out_file.write_text(out)
+            stdout.append(out)
+        assert "".join(stdout).encode() == (GOLDEN_DIR / golden).read_bytes()
+
+    def test_zero_denominator_is_a_domain_error(self, capsys, tmp_path):
+        game_file = self.build_game_file(capsys, tmp_path)
+        game = json.loads(game_file.read_text())
+        game["weights"]["1"] = "1/0"
+        game_file.write_text(json.dumps(game))
+        assert_domain_error(run_cli(capsys, "game", "solve", str(game_file)))
+        for key, value in [("epsilon", "1/0"), ("compacts", [[["1/0"]]])]:
+            model_file = tmp_path / f"{key}.json"
+            model_file.write_text(json.dumps(dict(GAMMA1_MODEL, **{key: value})))
+            assert_domain_error(run_cli(capsys, "game", "build", "1", str(model_file)))
 
     def test_solve_deterministic(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path, xi="2", max_n="2")

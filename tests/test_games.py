@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -519,3 +520,29 @@ class TestJsonRoundTrip:
             assert restored.player == strategy.player
             assert restored.moves == strategy.moves
             assert verify_strategy(game, restored)
+
+
+class TestDeepChain:
+    def test_walks_deeper_than_the_recursion_limit(self):
+        # a single chain deeper than the recursion limit in force: verification,
+        # extraction and completion must not recurse once per move
+        depth = 300
+        labels = [Ordinal(k) for k in range(1, depth + 1)]
+        tree = FiniteBTree.closure([tuple(labels)])
+        weights = {node: Fraction(int(len(node) == 1)) for node in tree.nodes}
+        game = GameSpec(tree, whole_space_model(), weights, PAYOFF_SZLENK)
+        histories = [tuple((zeta, 0, 0) for zeta in labels[:i]) for i in range(depth)]
+        psi = Strategy("II", {(h, (labels[i], 0)): 0 for i, h in enumerate(histories)})
+        sub = Strategy("I", {h: (labels[i], 0) for i, h in enumerate(histories)})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert verify_strategy(game, psi)
+            collections = extract_collections(game, psi)
+            total = complete_substrategy(game, sub, fallback_z=0)
+        finally:
+            sys.setrecursionlimit(limit)
+        leaf = tuple((zeta, 0) for zeta in labels)
+        assert collections.functionals == {leaf: (Fraction(1),)}
+        assert len(collections.compact_choices) == len(collections.selections) == depth
+        assert total.moves == sub.moves
