@@ -160,8 +160,12 @@ class FiniteBTree:
     def from_json(cls, data: Union[dict, str]) -> "FiniteBTree":
         if isinstance(data, str):
             data = json.loads(data)
+        if not isinstance(data, dict):
+            raise ValueError("a tree must be a JSON object")
         nodes = data["nodes"]
-        if not isinstance(nodes, list) or not all(isinstance(t, list) for t in nodes):
+        if not isinstance(nodes, list) or not all(
+            isinstance(t, list) and all(type(label) in (str, int) for label in t) for t in nodes
+        ):
             raise ValueError('"nodes" must be a list of label lists')
         return cls(tuple(Ordinal(label) for label in t) for t in nodes)
 

@@ -78,7 +78,12 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
 
 
 class _Family:
-    """Shared enumeration machinery; subclasses define the recursions."""
+    """Shared validation and enumeration.
+
+    Subclasses define ``member``, ``rank``, ``root_labels`` and two hooks that
+    trust their path to be a member: ``_labels_below`` and ``_leaf``.  The
+    public queries check membership once; the walk builds only members.
+    """
 
     kind: str
 
@@ -91,16 +96,16 @@ class _Family:
     def member(self, path: NodePath) -> bool:
         raise NotImplementedError
 
-    def is_maximal(self, path: NodePath) -> bool:
+    def rank(self, path: NodePath) -> Ordinal:
         raise NotImplementedError
 
     def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
         raise NotImplementedError
 
-    def children(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
+    def _labels_below(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
         raise NotImplementedError
 
-    def rank(self, path: NodePath) -> Ordinal:
+    def _leaf(self, path: NodePath) -> bool:
         raise NotImplementedError
 
     def _require_member(self, path: NodePath) -> NodePath:
@@ -109,48 +114,54 @@ class _Family:
             raise ValueError(f"{path_to_text(path)} is not a member of {self!r}")
         return path
 
+    def children(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
+        """Sorted labels extending ``path`` by one step (``()`` = virtual root)."""
+        path = tuple(path)
+        if not path:
+            return self.root_labels(budget)
+        return self._labels_below(self._require_member(path), budget)
+
+    def is_maximal(self, path: NodePath) -> bool:
+        return self._leaf(self._require_member(path))
+
+    def _walk(self, budget: TruncationBudget) -> Iterator[NodePath]:
+        # pre-order on an explicit stack; a node's children are expanded only
+        # while its length is below max_depth
+        stack = [(label,) for label in reversed(self.root_labels(budget))]
+        while stack:
+            path = stack.pop()
+            yield path
+            if len(path) < budget.max_depth:
+                below = self._labels_below(path, budget)
+                stack.extend(path + (label,) for label in reversed(below))
+
     def maximal_branches(self, budget: TruncationBudget) -> Iterator[NodePath]:
         """Lazily yield paths maximal in the full family, up to the budget."""
-
-        def dfs(path: NodePath) -> Iterator[NodePath]:
-            if len(path) >= budget.max_depth:
-                return
-            for label in self.children(path, budget):
-                child = path + (label,)
-                if self.is_maximal(child):
-                    yield child
-                else:
-                    yield from dfs(child)
-
-        return dfs(())
+        return (path for path in self._walk(budget) if self._leaf(path))
 
     def truncate(self, budget: TruncationBudget) -> FiniteBTree:
         """The finite B-tree of all members reachable within the budget."""
-        nodes = []
-
-        def dfs(path: NodePath) -> None:
-            if len(path) >= budget.max_depth:
-                return
-            for label in self.children(path, budget):
-                child = path + (label,)
-                nodes.append(child)
-                dfs(child)
-
-        dfs(())
-        return FiniteBTree(nodes)
+        return FiniteBTree(self._walk(budget))
 
 
 class TFamily(_Family):
-    """The tree of order xi: a chain of chains indexed by successor labels."""
+    """The tree of order xi: a chain of chains indexed by successor labels.
+
+    The first label is xi itself at a successor xi and any successor below
+    xi at a limit; the rest of the path is a member of the family at that
+    label's predecessor.  So the subtree below a member path is the family
+    at ``path[-1].pred()``.
+    """
 
     kind = "T"
 
     def member(self, path: NodePath) -> bool:
-        return _t_member(self.xi, tuple(path))
-
-    def is_maximal(self, path: NodePath) -> bool:
-        path = self._require_member(path)
-        return _t_maximal(self.xi, path)
+        xi = self.xi
+        for label in path:
+            if not (label.is_successor and (label == xi or (xi.is_limit and label < xi))):
+                return False
+            xi = label.pred()
+        return len(path) > 0
 
     def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
         xi = self.xi
@@ -160,45 +171,14 @@ class TFamily(_Family):
             return [xi]
         return [_fundamental(xi, k) + 1 for k in range(budget.max_n)]
 
-    def children(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
-        path = tuple(path)
-        if not path:
-            return self.root_labels(budget)
-        self._require_member(path)
-        xi = self.xi
-        if xi.is_successor:
-            sub = t_family(xi.pred())
-            return sub.root_labels(budget) if len(path) == 1 else sub.children(path[1:], budget)
-        return t_family(path[0]).children(path, budget)
+    def _labels_below(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
+        return t_family(path[-1].pred()).root_labels(budget)
+
+    def _leaf(self, path: NodePath) -> bool:
+        return path[-1] == ONE
 
     def rank(self, path: NodePath) -> Ordinal:
-        path = self._require_member(path)
-        return _t_rank(self.xi, path)
-
-
-@lru_cache(maxsize=1 << 16)
-def _t_member(xi: Ordinal, path: NodePath) -> bool:
-    if not path or xi.is_zero:
-        return False
-    if xi.is_successor:
-        if path[0] != xi:
-            return False
-        return len(path) == 1 or _t_member(xi.pred(), path[1:])
-    mu = path[0]
-    return mu.is_successor and mu < xi and _t_member(mu, path)
-
-
-def _t_maximal(xi: Ordinal, path: NodePath) -> bool:
-    # maximal iff the suffix chain bottoms out at the empty family
-    if xi.is_successor:
-        return xi.pred().is_zero if len(path) == 1 else _t_maximal(xi.pred(), path[1:])
-    return _t_maximal(path[0], path)
-
-
-def _t_rank(xi: Ordinal, path: NodePath) -> Ordinal:
-    if xi.is_successor:
-        return xi.pred() if len(path) == 1 else _t_rank(xi.pred(), path[1:])
-    return _t_rank(path[0], path)
+        return self._require_member(path)[-1].pred()
 
 
 class GammaFamily(_Family):
@@ -208,10 +188,6 @@ class GammaFamily(_Family):
 
     def member(self, path: NodePath) -> bool:
         return _gamma_member(self.xi, tuple(path))
-
-    def is_maximal(self, path: NodePath) -> bool:
-        path = self._require_member(path)
-        return _gamma_maximal(self.xi, path)
 
     def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
         xi = self.xi
@@ -232,11 +208,7 @@ class GammaFamily(_Family):
                 out.extend(offset + r for r in gamma_family(zeta + 1).root_labels(budget))
         return sorted(out)
 
-    def children(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
-        path = tuple(path)
-        if not path:
-            return self.root_labels(budget)
-        self._require_member(path)
+    def _labels_below(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
         xi = self.xi
         if xi.is_zero:
             return []
@@ -247,14 +219,17 @@ class GammaFamily(_Family):
             unit = omega_pow(sigma)
             m = len(blocks)
             last = blocks[-1]
-            out = [unit * (n - m) + r for r in sub.children(last, budget)]
+            out = [unit * (n - m) + r for r in sub._labels_below(last, budget)]
             if m < n and _gamma_maximal(sigma, last):
                 offset = unit * (n - m - 1)
                 out.extend(offset + r for r in sub.root_labels(budget))
             return sorted(out)
         zeta, stripped = _gamma_component(xi, path)
         offset = omega_pow(zeta)
-        return [offset + c for c in gamma_family(zeta + 1).children(stripped, budget)]
+        return [offset + c for c in gamma_family(zeta + 1)._labels_below(stripped, budget)]
+
+    def _leaf(self, path: NodePath) -> bool:
+        return _gamma_maximal(self.xi, path)
 
     def rank(self, path: NodePath) -> Ordinal:
         path = self._require_member(path)
@@ -444,17 +419,16 @@ def budget_from_json(data: Union[dict, str]) -> TruncationBudget:
 
 
 def _inflate(path: NodePath, a: Ordinal, b: Ordinal) -> NodePath:
-    # strictly monotone, possibly length-inflating map between T families
-    if a == b:
-        return path
-    if b.is_successor:
-        tau = b.pred()
+    # strictly monotone, possibly length-inflating map between T families: a
+    # successor target b emits b and consumes a source label only when a is a
+    # successor too; from a == b or a limit target on, the source is kept
+    out, i = [], 0
+    while i < len(path) and a != b and b.is_successor:
+        out.append(b)
         if a.is_successor:
-            rest = path[1:]
-            return (b,) + (_inflate(rest, a.pred(), tau) if rest else ())
-        return (b,) + _inflate(path, a, tau)
-    # at a limit target every component of the source is already a component
-    return path
+            i, a = i + 1, a.pred()
+        b = b.pred()
+    return tuple(out) + path[i:]
 
 
 def monotone_embedding(xi: Ordinal, gamma: Ordinal) -> Callable[[NodePath], NodePath]:

@@ -88,7 +88,10 @@ class ModelSpace:
     __slots__ = ("dim", "subspaces", "compacts", "functionals", "epsilon", "norm")
 
     def __init__(self, dim, subspaces, compacts, functionals, epsilon, norm="max"):
-        dim = int(dim)
+        try:
+            dim = int(dim)
+        except TypeError:
+            raise ValueError(f"not an integer dim: {dim!r}") from None
         if dim < 1:
             raise ValueError("dim must be positive")
         vec = lambda entries: self._vector(entries, dim)
@@ -588,7 +591,22 @@ def game_to_json(game: GameSpec) -> dict:
     return data
 
 
+def _nested_lists(value, depth: int) -> bool:
+    if not isinstance(value, list):
+        return False
+    return depth == 1 or all(_nested_lists(v, depth - 1) for v in value)
+
+
 def model_from_json(data: dict) -> ModelSpace:
+    if not isinstance(data, dict):
+        raise ValueError("a model must be a JSON object")
+    for key, depth, shape in (
+        ("subspaces", 3, "a list of matrices"),
+        ("compacts", 3, "a list of point lists"),
+        ("functionals", 2, "a list of vectors"),
+    ):
+        if not _nested_lists(data[key], depth):
+            raise ValueError(f'"{key}" must be {shape}')
     return ModelSpace(
         dim=data["dim"],
         subspaces=data["subspaces"],

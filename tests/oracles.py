@@ -59,6 +59,35 @@ def gamma2_members_from_display(max_n: int):
     return out
 
 
+def t_members(xi: Ordinal, labels, max_len: int):
+    """Members of the T family at ``xi`` up to length ``max_len`` whose every
+    choice at a limit index is taken from ``labels``, built top-down from the
+    definition: T at 0 is empty, T at s+1 holds (s+1) alone and (s+1)
+    followed by a member of T at s, and T at a limit is the union of T at mu
+    over the successors mu below it.
+
+    Maps each member to (its rank, whether it is maximal): the subtree below
+    a member is the family at the index left over, whose order is that index.
+    """
+    out = {}
+    frontier = [((), xi)]
+    while frontier:
+        prefix, index = frontier.pop()
+        if len(prefix) == max_len:
+            continue
+        if index.is_successor:
+            heads = [index]
+        elif index.is_zero:
+            heads = []
+        else:
+            heads = [mu for mu in labels if mu.is_successor and mu < index]
+        for mu in heads:
+            path, below = prefix + (mu,), mu.pred()
+            out[path] = (below, below.is_zero)
+            frontier.append((path, below))
+    return out
+
+
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 

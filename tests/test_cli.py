@@ -86,8 +86,9 @@ class TestTree:
         tree_file.write_text(json.dumps({"nodes": [["3", "2"]]}))
         assert run_cli(capsys, "tree", "validate", str(tree_file))[1] == "false\n"
         assert run_cli(capsys, "tree", "order", str(tree_file))[0] == 1
-        tree_file.write_text(json.dumps({"nodes": 5}))
-        assert_domain_error(run_cli(capsys, "tree", "validate", str(tree_file)))
+        for data in ({"nodes": 5}, 5, {"nodes": [[None]]}):
+            tree_file.write_text(json.dumps(data))
+            assert_domain_error(run_cli(capsys, "tree", "validate", str(tree_file)))
 
 
 class TestFamily:
@@ -145,6 +146,28 @@ class TestFamily:
         first = run_cli(capsys, *args)
         second = run_cli(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "T", "3000", ",".join(str(k) for k in range(3000, 0, -1))],
+            ["truncate", "T", "900", "--max-n", "2", "--max-depth", "1000"],
+        ],
+        ids=["rank-T3000", "truncate-T900"],
+    )
+    def test_deep_t_paths(self, argv):
+        # far deeper than the interpreter's recursion limit, in a fresh process
+        result = subprocess.run(
+            [sys.executable, "-m", "ordgames.cli", "family", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        )
+        assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+        if argv[0] == "rank":
+            assert result.stdout == "0\n"
+        else:
+            assert len(json.loads(result.stdout)["nodes"]) == 900
 
 
 class TestCbAndBound:
@@ -224,6 +247,16 @@ class TestGame:
             model_file = tmp_path / f"{key}.json"
             model_file.write_text(json.dumps(dict(GAMMA1_MODEL, **{key: value})))
             assert_domain_error(run_cli(capsys, "game", "build", "1", str(model_file)))
+
+    @pytest.mark.parametrize(
+        "model",
+        [dict(GAMMA1_MODEL, subspaces=5), [GAMMA1_MODEL], dict(GAMMA1_MODEL, dim=None)],
+        ids=["int-subspaces", "array", "null-dim"],
+    )
+    def test_wrong_shape_model_is_a_domain_error(self, capsys, tmp_path, model):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(model))
+        assert_domain_error(run_cli(capsys, "game", "build", "1", str(model_file)))
 
     def test_solve_deterministic(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path, xi="2", max_n="2")

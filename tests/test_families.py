@@ -1,4 +1,5 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordinals
-from oracles import gamma1_members, gamma2_members_from_display
+from oracles import gamma1_members, gamma2_members_from_display, t_members
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
     TruncationBudget,
@@ -161,6 +162,66 @@ class TestTMembership:
         t_big = t_family(OMEGA * 2)
         assert t_big.member(P("w+1,3,2,1"))
         assert not t_big.member(P("w,3"))
+
+
+class TestTOracle:
+    @staticmethod
+    def assert_labels_below(labels, index, budget):
+        # what the definition allows one step below a node whose subtree is T at index
+        if index.is_limit:
+            assert len(labels) == budget.max_n and labels == sorted(set(labels))
+            assert all(mu.is_successor and mu < index for mu in labels)
+        else:
+            assert labels == ([index] if index.is_successor else [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ordinals(height=1), st.lists(ordinals(height=1), max_size=4))
+    def test_matches_top_down_construction(self, xi, pool):
+        # finite, successor and limit indices below w^w; every member whose
+        # labels lie in the universe is built, so every other path over the
+        # universe must be rejected
+        family, budget = t_family(xi), B(3)
+        seed = t_members(xi, pool, max_len=4)
+        universe = sorted(set(pool) | {xi} | {label for path in seed for label in path})[:7]
+        built = t_members(xi, universe, max_len=4)
+        self.assert_labels_below(family.children((), budget), xi, budget)
+        for path, (rank, maximal) in built.items():
+            assert family.member(path)
+            assert family.rank(path) == rank
+            assert family.is_maximal(path) is maximal
+            self.assert_labels_below(family.children(path, budget), rank, budget)
+        for length in range(4):
+            for path in itertools.product(universe, repeat=length):
+                assert family.member(path) == (path in built), path
+                if path not in built:
+                    with pytest.raises(ValueError):
+                        family.is_maximal(path)
+
+
+class TestDeepT:
+    def test_deeper_than_the_recursion_limit(self):
+        # truncation, branches and per-path queries must not recurse per label
+        chain = tuple(Ordinal(k) for k in range(400, 0, -1))
+        deep = tuple(Ordinal(k) for k in range(3000, 0, -1))
+        t400, t3000 = t_family(Ordinal(400)), t_family(Ordinal(3000))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            tree = t400.truncate(B(4))
+            branches = list(t400.maximal_branches(B(4)))
+            queries = (
+                t3000.member(deep),
+                t3000.rank(deep),
+                t3000.is_maximal(deep),
+                t3000.children(deep, B(4)),
+                t3000.children(deep[:-1], B(4)),
+                monotone_embedding(Ordinal(2999), Ordinal(3000))(deep[1:]),
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert tree == FiniteBTree.closure([chain])
+        assert branches == [chain]
+        assert queries == (True, ZERO, True, [], [ONE], deep[:-1])
 
 
 class TestChildren:
