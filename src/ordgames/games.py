@@ -10,10 +10,16 @@ and some selection x_i from each ball/subspace/compact intersection achieve
 
     sum_i  weight(node prefix of length i) * x*(x_i)  >=  epsilon.
 
-Everything is exact: vectors and payoffs are rationals, and the solver runs
-the backward-induction recursion over the set W of first moves all of whose
-replies lose for II.  Tie-breaks are deterministic (lexicographically least
-move), so solver output is reproducible byte for byte.
+Everything is exact: vectors and payoffs are rationals.  The model builds,
+once, a gains table holding each selection set and, per functional, its
+peak value over that set and least maximizer, so a szlenk leaf is scored
+from the partial sums s_f = sum_i w_i * peak_f(z_i, c_i).  Those sums and
+the tree node decide the rest of the game, so the solver runs backward
+induction on an explicit stack over (node, partial sums) positions (over
+whole histories under a table payoff), memoized, and then writes the
+history-keyed strategy out by walking the plays it reaches.  Tie-breaks are
+deterministic (lexicographically least move), so solver output is
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -83,9 +89,15 @@ class ModelSpace:
     M_i x = 0; an empty matrix is the whole space), ``compacts`` lists finite
     point sets, ``functionals`` the available covectors, and ``norm`` fixes
     the unit ball ("max" or "sum").  All scalars are exact rationals.
+
+    The gains table is built once: ``_gains[z][c]`` holds the selection set
+    of subspace z and compact c, and, per functional, the pair (peak value
+    over that set, least maximizer); the per-functional part is None when
+    the selection set is empty.
     """
 
-    __slots__ = ("dim", "subspaces", "compacts", "functionals", "epsilon", "norm")
+    _FIELDS = ("dim", "subspaces", "compacts", "functionals", "epsilon", "norm")
+    __slots__ = _FIELDS + ("_gains",)
 
     def __init__(self, dim, subspaces, compacts, functionals, epsilon, norm="max"):
         try:
@@ -111,6 +123,24 @@ class ModelSpace:
             raise ValueError("epsilon must be positive")
         if norm not in ("max", "sum"):
             raise ValueError(f"unknown norm {norm!r}")
+        gains = tuple(
+            tuple(self._gain(z, points) for points in self.compacts)
+            for z in range(len(self.subspaces))
+        )
+        object.__setattr__(self, "_gains", gains)
+
+    def _gain(self, z_index: int, points: Tuple[Vector, ...]):
+        selected = tuple(
+            x for x in points if self.norm_value(x) <= 1 and self.in_subspace(z_index, x)
+        )
+        if not selected:
+            return selected, None
+        peaks = []
+        for xstar in self.functionals:
+            # the largest value, and among its maximizers the least vector
+            negated, x = min((-_dot(xstar, x), x) for x in selected)
+            peaks.append((-negated, x))
+        return selected, tuple(peaks)
 
     @staticmethod
     def _vector(entries, dim) -> Vector:
@@ -124,7 +154,7 @@ class ModelSpace:
 
     def __eq__(self, other):
         return isinstance(other, ModelSpace) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__
+            getattr(self, f) == getattr(other, f) for f in self._FIELDS
         )
 
     def __repr__(self):
@@ -143,11 +173,7 @@ class ModelSpace:
 
     def selection_set(self, z_index: int, c_index: int) -> Tuple[Vector, ...]:
         """Points of compact c that lie in subspace z and in the unit ball."""
-        return tuple(
-            x
-            for x in self.compacts[c_index]
-            if self.norm_value(x) <= 1 and self.in_subspace(z_index, x)
-        )
+        return self._gains[z_index][c_index][0]
 
 
 class GameSpec:
@@ -242,27 +268,29 @@ class ExtractedCollections(NamedTuple):
 
 def _best_functional(
     game: GameSpec, leaf: History
-) -> Optional[Tuple[Fraction, Vector, List[Tuple[Vector, ...]]]]:
-    """(value, least maximizing functional, selection sets) at a maximal history.
+) -> Optional[Tuple[Fraction, Vector, List[Vector]]]:
+    """(value, least maximizing functional, its selections) at a maximal history.
 
     The value is max over x* of sum_i w_i * max_{x in S_i} x*(x), which is
     valid because the weights are nonnegative, so each factor maximizes
-    independently for a fixed functional.  None when a selection set is empty
+    independently for a fixed functional; the selections are the least
+    maximizers the gains table stores.  None when a selection set is empty
     or the model has no functionals.
     """
-    sets = [game.model.selection_set(z, c) for _, z, c in leaf]
-    if not all(sets):
+    gains = game.model._gains
+    peaks = [gains[z][c][1] for _, z, c in leaf]
+    if None in peaks:
         return None
     weights = game.prefix_weights(_zproj(leaf))
     best = None
-    for xstar in game.model.functionals:
-        value = sum(
-            (w * max(_dot(xstar, x) for x in s) for w, s in zip(weights, sets)),
-            Fraction(0),
-        )
+    for j, xstar in enumerate(game.model.functionals):
+        value = sum((w * p[j][0] for w, p in zip(weights, peaks)), Fraction(0))
         if best is None or value > best[0] or (value == best[0] and xstar < best[1]):
-            best = (value, xstar)
-    return None if best is None else (best[0], best[1], sets)
+            best = (value, xstar, j)
+    if best is None:
+        return None
+    value, xstar, j = best
+    return value, xstar, [p[j][1] for p in peaks]
 
 
 def eval_payoff(game: GameSpec, leaf: History) -> bool:
@@ -294,39 +322,92 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     Player I wins at a position iff some offer (label, subspace) leaves
     every compact reply losing for II; the returned strategy follows the
     lexicographically least such offer, and for II the least winning reply.
+    A position is the tree node with the partial sums s_f under the szlenk
+    payoff (None once a reply's selection set is empty: no leaf below it
+    wins for II), and the node with the whole history under a table payoff.
+    Each position is decided once, on an explicit stack; the strategy then
+    prescribes a move at every history its own plays reach.
     """
     tree = game.tree
     n_compacts = game.n_compacts
-    i_moves: Dict[History, Offer] = {}
-    ii_moves: Dict[Tuple[History, Offer], int] = {}
+    if game.payoff == PAYOFF_SZLENK:
+        gains, weights, epsilon = game.model._gains, game.weights, game.model.epsilon
+        root = (Fraction(0),) * len(game.model.functionals)
 
-    def first_player_wins(history: History, node: NodePath) -> bool:
-        replies: List[Tuple[Offer, int]] = []
+        def step(sums, child, zi, ci):
+            peaks = gains[zi][ci][1]
+            if sums is None or peaks is None:
+                return None
+            w = weights[child]
+            return tuple(s + w * peak for s, (peak, _) in zip(sums, peaks))
+
+        def ii_wins(sums) -> bool:
+            return sums is not None and any(s >= epsilon for s in sums)
+
+    else:
+        root = ()
+
+        def step(history, child, zi, ci):
+            return history + ((child[-1], zi, ci),)
+
+        ii_wins = game.payoff.__contains__
+
+    def decide(node: NodePath, state):
+        # yields each non-terminal child position it needs decided and is
+        # sent back whether I wins there; returns (True, least winning offer)
+        # or (False, least winning reply for each offer in order)
+        replies = []
         for offer in _offers(game, node):
             zeta, zi = offer
             child = node + (zeta,)
             terminal = tree.is_max(child)
-            reply = None
             for ci in range(n_compacts):
-                extended = history + ((zeta, zi, ci),)
-                if terminal:
-                    branch_won = not eval_payoff(game, extended)
-                else:
-                    branch_won = first_player_wins(extended, child)
-                if not branch_won:
-                    reply = ci
+                after = step(state, child, zi, ci)
+                i_won = not ii_wins(after) if terminal else (yield child, after)
+                if not i_won:
+                    replies.append(ci)
                     break
-            if reply is None:
-                i_moves[history] = offer
-                return True
-            replies.append((offer, reply))
-        for offer, ci in replies:
-            ii_moves[(history, offer)] = ci
-        return False
+            else:
+                return True, offer
+        return False, replies
 
-    if first_player_wins((), ()):
-        return "I", _prune_to_reachable(game, Strategy("I", i_moves))
-    return "II", _prune_to_reachable(game, Strategy("II", ii_moves))
+    decided: Dict[tuple, tuple] = {}
+    stack = [(((), root), decide((), root))]
+    sent = None
+    while stack:
+        position, search = stack[-1]
+        try:
+            child = search.send(sent)
+        except StopIteration as done:
+            decided[position] = done.value
+            stack.pop()
+            sent = done.value[0]
+            continue
+        if child in decided:
+            sent = decided[child][0]
+        else:
+            stack.append((child, decide(*child)))
+            sent = None
+
+    i_wins = decided[((), root)][0]
+    moves: dict = {}
+    plays: List[Tuple[History, NodePath, object]] = [((), (), root)]
+    while plays:
+        history, node, state = plays.pop()
+        choice = decided[(node, state)][1]
+        if i_wins:
+            moves[history] = choice
+            branches = [(choice, ci) for ci in range(n_compacts)]
+        else:
+            branches = list(zip(_offers(game, node), choice))
+            for offer, ci in branches:
+                moves[(history, offer)] = ci
+        for (zeta, zi), ci in branches:
+            child = node + (zeta,)
+            if not tree.is_max(child):
+                plays.append((history + ((zeta, zi, ci),), child, step(state, child, zi, ci)))
+    winner = "I" if i_wins else "II"
+    return winner, Strategy(winner, moves)
 
 
 def _plays(game: GameSpec, strategy: Strategy) -> Iterator[tuple]:
@@ -365,13 +446,6 @@ def _plays(game: GameSpec, strategy: Strategy) -> Iterator[tuple]:
                 yield None, history + (move,)
             else:
                 stack.append((history + (move,), child))
-
-
-def _prune_to_reachable(game: GameSpec, strategy: Strategy) -> Strategy:
-    # drop prescriptions at positions the search explored but the final
-    # strategy never reaches
-    moves = {key: move for key, move in _plays(game, strategy) if key is not None}
-    return Strategy(strategy.player, moves)
 
 
 def verify_strategy(game: GameSpec, strategy: Strategy) -> bool:
@@ -479,11 +553,6 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
 # -- witness extraction ---------------------------------------------------------
 
 
-def _argmax_vector(xstar: Vector, candidates: Tuple[Vector, ...]) -> Vector:
-    best_value = max(_dot(xstar, x) for x in candidates)
-    return min(x for x in candidates if _dot(xstar, x) == best_value)
-
-
 def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollections:
     """Verify a winning strategy for II and pull witness collections out of it.
 
@@ -509,13 +578,13 @@ def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollecti
         best = _best_functional(game, leaf)
         if best is None or best[0] < game.model.epsilon:
             raise ValueError("strategy is not a verified win for Player II")
-        _, xstar, sets = best
+        _, xstar, chosen = best
         pairs = tuple((zeta, zi) for zeta, zi, _ in leaf)
         functionals[pairs] = xstar
-        for i, (move, s) in enumerate(zip(leaf, sets), 1):
+        for i, (move, x) in enumerate(zip(leaf, chosen), 1):
             prefix = pairs[:i]
             compact_choices[prefix] = move[2]
-            selections[(prefix, pairs)] = _argmax_vector(xstar, s)
+            selections[(prefix, pairs)] = x
     return ExtractedCollections(compact_choices, functionals, selections)
 
 
@@ -620,15 +689,22 @@ def model_from_json(data: dict) -> ModelSpace:
 def game_from_json(data: Union[dict, str]) -> GameSpec:
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("a game must be a JSON object")
     model = model_from_json(data["model"])
     tree = FiniteBTree.from_json(data["tree"])
+    if not isinstance(data["weights"], dict):
+        raise ValueError('"weights" must map node paths to rationals')
     weights = {
         tuple(Ordinal(s) for s in key.split(",")): value
         for key, value in data["weights"].items()
     }
     payoff = data["payoff"]
     if payoff != PAYOFF_SZLENK:
-        payoff = frozenset(history_from_text(h) for h in payoff["table"])
+        table = payoff.get("table") if isinstance(payoff, dict) else None
+        if not isinstance(table, list) or not all(isinstance(h, str) for h in table):
+            raise ValueError(f'"payoff" must be "{PAYOFF_SZLENK}" or a table of histories')
+        payoff = frozenset(history_from_text(h) for h in table)
     return GameSpec(tree, model, weights, payoff)
 
 

@@ -42,6 +42,11 @@ OrdinalLike = Union["Ordinal", int, str]
 
 _TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
 
+# Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
+# parsing recurse once per level, so text nested much deeper would end in
+# RecursionError instead of an OrdinalError.
+_MAX_NESTING = 300
+
 
 class Ordinal:
     """An ordinal < epsilon_0 in Cantor normal form.  Immutable and hashable."""
@@ -168,11 +173,14 @@ class Ordinal:
         if not self._terms:
             return other
         e = other._terms[0][0]
-        keep = 0
-        while keep < len(self._terms) and self._terms[keep][0] > e:
+        keep, order = 0, -1
+        while keep < len(self._terms):
+            order = self._terms[keep][0]._cmp(e)
+            if order <= 0:
+                break
             keep += 1
         head = self._terms[:keep]
-        if keep < len(self._terms) and self._terms[keep][0] == e:
+        if order == 0:
             merged = (e, self._terms[keep][1] + other._terms[0][1])
             return Ordinal(head + (merged,) + other._terms[1:])
         return Ordinal(head + other._terms)
@@ -289,13 +297,17 @@ def quot_rem_omega_pow(
 
 def _parse(text: str) -> Ordinal:
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
             raise OrdinalError(f"bad CNF text at {text[pos:]!r}")
-        tokens.append(m.group(1))
+        token = m.group(1)
+        tokens.append(token)
         pos = m.end()
+        depth += (token == "(") - (token == ")")
+        if depth > _MAX_NESTING:
+            raise OrdinalError(f"CNF text nested deeper than {_MAX_NESTING} levels")
     tokens.reverse()  # pop() from the front
 
     def peek():

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: repeated addition instead of the
 coefficient rule, raw product enumeration instead of the max decomposition,
-closed-form member lists instead of the recursive parser.  The tests compare
+a search of every history instead of the memoized solver, closed-form member
+lists instead of the recursive parser.  The tests compare
 library output against these.
 """
 
@@ -18,6 +19,7 @@ from ordgames.games import (
     GameSpec,
     ModelSpace,
     Strategy,
+    eval_payoff,
     game_position_count,
 )
 from ordgames.ordinal import OMEGA, ZERO, Ordinal
@@ -92,10 +94,20 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def selection_set(model: ModelSpace, z: int, c: int):
+    """Points of compact c in subspace z and the unit ball, from the definition."""
+    out = []
+    for x in model.compacts[c]:
+        size = max(abs(a) for a in x) if model.norm == "max" else sum(abs(a) for a in x)
+        if size <= 1 and all(dot(row, x) == 0 for row in model.subspaces[z]):
+            out.append(x)
+    return out
+
+
 def payoff_by_enumeration(game: GameSpec, leaf) -> bool:
     """Exhaustive search over functionals and full selection products."""
     model = game.model
-    sets = [model.selection_set(z, c) for _, z, c in leaf]
+    sets = [selection_set(model, z, c) for _, z, c in leaf]
     node = tuple(move[0] for move in leaf)
     weights = game.prefix_weights(node)
     for xstar in model.functionals:
@@ -126,6 +138,62 @@ def maximal_histories(game: GameSpec):
 
     walk((), ())
     return out
+
+
+def product_tree_strategy(game: GameSpec):
+    """(winner, winning strategy) by recursion over the full product tree.
+
+    Every history is searched on its own, with no sharing between histories
+    that lead to the same position.  Player I takes the least offer all of
+    whose replies lose for II, Player II the least reply that does not lose;
+    the strategy keeps only the histories its own plays reach.
+    """
+    tree = game.tree
+    n_compacts = game.n_compacts
+    i_moves, ii_moves = {}, {}
+
+    def offers(node):
+        return [(zeta, zi) for zeta in tree.children_labels(node) for zi in range(game.n_subspaces)]
+
+    def first_player_wins(history, node) -> bool:
+        replies = []
+        for offer in offers(node):
+            zeta, zi = offer
+            child = node + (zeta,)
+            reply = None
+            for ci in range(n_compacts):
+                extended = history + ((zeta, zi, ci),)
+                if tree.is_max(child):
+                    branch_won = not eval_payoff(game, extended)
+                else:
+                    branch_won = first_player_wins(extended, child)
+                if not branch_won:
+                    reply = ci
+                    break
+            if reply is None:
+                i_moves[history] = offer
+                return True
+            replies.append((offer, reply))
+        for offer, ci in replies:
+            ii_moves[(history, offer)] = ci
+        return False
+
+    winner = "I" if first_player_wins((), ()) else "II"
+    moves = {}
+    stack = [((), ())]
+    while stack:
+        history, node = stack.pop()
+        if winner == "I":
+            offer = moves[history] = i_moves[history]
+            branches = [(offer, ci) for ci in range(n_compacts)]
+        else:
+            branches = [(offer, ii_moves[(history, offer)]) for offer in offers(node)]
+            for offer, ci in branches:
+                moves[(history, offer)] = ci
+        for (zeta, zi), ci in branches:
+            if not tree.is_max(node + (zeta,)):
+                stack.append((history + ((zeta, zi, ci),), node + (zeta,)))
+    return winner, Strategy(winner, moves)
 
 
 def reachable_restriction(game: GameSpec, strategy: Strategy) -> Strategy:

@@ -69,6 +69,28 @@ class TestOrd:
             cli.run(["ord", "frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("verb", ["add", "cmp"])
+    def test_deep_nesting(self, verb):
+        # in a fresh process, so the interpreter's own recursion limit applies:
+        # nesting up to the cap works, and deeper text is a domain error
+        from ordgames.ordinal import _MAX_NESTING
+
+        assert _MAX_NESTING >= 300
+        for depth in (_MAX_NESTING, _MAX_NESTING + 1, 3000):
+            text = "w^(" * depth + "1" + ")" * depth
+            result = subprocess.run(
+                [sys.executable, "-m", "ordgames.cli", "ord", verb, text, text],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            )
+            if depth == _MAX_NESTING:
+                assert result.returncode == 0, result.stderr
+                assert result.stdout.startswith("equal" if verb == "cmp" else "w^(w^(")
+            else:
+                assert "Traceback" not in result.stderr
+                assert_domain_error((result.returncode, result.stdout, result.stderr))
+
 
 class TestTree:
     def test_validate_order_rank_derive(self, capsys, tmp_path):
@@ -214,11 +236,15 @@ class TestGame:
         [
             (GAMMA1_MODEL, "1", "3", "gamma1_model_gamma1_max_n3.txt"),
             (W_SZLENK_MODEL, "1", "2", "w_szlenk_gamma1_max_n2.txt"),
+            (dict(W_SZLENK_MODEL, epsilon="1"), "1", "3", "w_szlenk_eps1_gamma1_max_n3.txt"),
         ],
     )
     def test_pipeline_golden_output(self, capsys, tmp_path, model, xi, max_n, golden):
         # pins the exact bytes, so that a change in the strategy the solver
-        # picks or in the extracted witnesses cannot pass silently
+        # picks or in the extracted witnesses cannot pass silently.  The third
+        # game is won by I, whose strategy must prescribe a move at every
+        # history it reaches, also below a reply with an empty selection set;
+        # there is nothing to extract, so extract is a domain error
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(model))
         game_file = tmp_path / "game.json"
@@ -231,7 +257,10 @@ class TestGame:
             (["extract", str(game_file), str(solution_file)], None),
         ]:
             code, out, err = run_cli(capsys, "game", *argv)
-            assert code == 0, err
+            if argv[0] == "extract" and json.loads(solution_file.read_text())["winner"] == "I":
+                assert_domain_error((code, out, err))
+            else:
+                assert code == 0, err
             if out_file is not None:
                 out_file.write_text(out)
             stdout.append(out)
@@ -257,6 +286,21 @@ class TestGame:
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(model))
         assert_domain_error(run_cli(capsys, "game", "build", "1", str(model_file)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda game: [1],
+            lambda game: dict(game, weights=[1]),
+            lambda game: dict(game, payoff=5),
+            lambda game: dict(game, payoff={"table": 5}),
+        ],
+        ids=["array", "list-weights", "int-payoff", "int-table"],
+    )
+    def test_wrong_shape_game_is_a_domain_error(self, capsys, tmp_path, change):
+        game_file = self.build_game_file(capsys, tmp_path)
+        game_file.write_text(json.dumps(change(json.loads(game_file.read_text()))))
+        assert_domain_error(run_cli(capsys, "game", "solve", str(game_file)))
 
     def test_solve_deterministic(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path, xi="2", max_n="2")

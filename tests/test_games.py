@@ -9,9 +9,11 @@ import pytest
 from oracles import (
     maximal_histories,
     payoff_by_enumeration,
+    product_tree_strategy,
     random_game,
     random_model,
     reachable_restriction,
+    selection_set,
     winner_by_rerooting,
 )
 from ordgames.btree import FiniteBTree, path_from_text
@@ -58,6 +60,15 @@ def single_node_game(model=None, payoff=PAYOFF_SZLENK):
 ZERO_SUBSPACE_1D = [["1"]]  # x = 0 in dimension 1
 LEAF = ((ONE, 0, 0),)
 
+# the W-szlenk model without its epsilon: three subspaces, three compacts,
+# three functionals in dimension 2
+W_SZLENK = dict(
+    dim=2,
+    subspaces=[[], [["1", "-1"]], [["1", "1"]]],
+    compacts=[[["1/2", "1/2"]], [["1", "0"], ["0", "1"]], [["-1/2", "1"], ["1", "-1"]]],
+    functionals=[["1", "1"], ["1", "-1"], ["0", "1"]],
+)
+
 
 class TestModelSpace:
     def test_validation(self):
@@ -96,6 +107,14 @@ class TestModelSpace:
             norm="sum",
         )
         assert model.selection_set(0, 0) == ((HALF, HALF),)
+
+    def test_selection_sets_match_definition(self):
+        rng = random.Random(1234)
+        for _ in range(30):
+            model = random_model(rng)
+            for z in range(len(model.subspaces)):
+                for c in range(len(model.compacts)):
+                    assert list(model.selection_set(z, c)) == selection_set(model, z, c)
 
 
 class TestGameSpecValidation:
@@ -231,6 +250,21 @@ class TestSolve:
             seen += 1
             assert winner_by_rerooting(game) == solve(game)[0]
 
+    def test_matches_product_tree_oracle(self):
+        # the oracle searches every history on its own; the solver decides
+        # each (node, partial sums) position once and must write out the
+        # same strategy, tie-breaks included
+        rng = random.Random(2718)
+        kinds = set()
+        for _ in range(60):
+            game = random_game(rng)
+            winner, strategy = solve(game)
+            want_winner, want = product_tree_strategy(game)
+            assert (winner, strategy.player) == (want_winner, want.player)
+            assert strategy.moves == want.moves
+            kinds.add((game.payoff == PAYOFF_SZLENK, winner))
+        assert len(kinds) == 4  # both payoff kinds, both winners
+
 
 class TestVerifyStrategy:
     def test_rejects_wrong_side(self):
@@ -325,6 +359,29 @@ class TestMonotonicity:
                 model.norm,
             )
             assert solve(GameSpec(game.tree, enlarged, game.weights, PAYOFF_SZLENK))[0] == "I"
+
+    def test_winner_monotone_in_budget(self):
+        # the truncation at max_n k is a subtree of the one at k + 1 with the
+        # same weights, so it only takes offers away from Player I: II winning
+        # at k + 1 means II wins at k.  Budgets stop at Gamma_2@3 and Gamma_w@2
+        # (Gamma_w@3 has 173,130 nodes).
+        max_n = {"1": 4, "2": 3, "w": 2}
+        rng = random.Random(1729)
+        turns = 0
+        for case in range(24):
+            xi = ("1", "2", "w")[case % 3]
+            if case % 2:
+                model = random_model(rng)
+            else:
+                # W-szlenk where its winner turns with the budget
+                model = ModelSpace(epsilon=Fraction(rng.randint(17, 24), 24), **W_SZLENK)
+            winners = [
+                solve(build_szlenk_game(Ordinal(xi), TruncationBudget(n), model))[0]
+                for n in range(1, max_n[xi] + 1)
+            ]
+            assert ("I", "II") not in zip(winners, winners[1:]), (xi, model, winners)
+            turns += ("II", "I") in zip(winners, winners[1:])
+        assert turns >= 4
 
     def test_zero_subspace_rule(self):
         rng = random.Random(31337)
@@ -501,6 +558,13 @@ class TestBuildSzlenkGame:
             total = sum(game.prefix_weights(leaf), Fraction(0))
             assert total == 1
 
+    def test_gamma1_max_n6_w_szlenk(self):
+        # 672,597 histories in the product tree, few (node, partial sums) positions
+        game = build_szlenk_game(ONE, TruncationBudget(6), ModelSpace(epsilon=HALF, **W_SZLENK))
+        winner, strategy = solve(game)
+        assert winner == "II"
+        assert verify_strategy(game, strategy)
+
 
 class TestJsonRoundTrip:
     def test_game_round_trip(self):
@@ -524,8 +588,8 @@ class TestJsonRoundTrip:
 
 class TestDeepChain:
     def test_walks_deeper_than_the_recursion_limit(self):
-        # a single chain deeper than the recursion limit in force: verification,
-        # extraction and completion must not recurse once per move
+        # a single chain deeper than the recursion limit in force: solving,
+        # verification, extraction and completion must not recurse once per move
         depth = 300
         labels = [Ordinal(k) for k in range(1, depth + 1)]
         tree = FiniteBTree.closure([tuple(labels)])
@@ -537,6 +601,7 @@ class TestDeepChain:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
+            solved = solve(game)
             assert verify_strategy(game, psi)
             collections = extract_collections(game, psi)
             total = complete_substrategy(game, sub, fallback_z=0)
@@ -546,3 +611,4 @@ class TestDeepChain:
         assert collections.functionals == {leaf: (Fraction(1),)}
         assert len(collections.compact_choices) == len(collections.selections) == depth
         assert total.moves == sub.moves
+        assert solved == ("II", psi)
