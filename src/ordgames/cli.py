@@ -219,13 +219,15 @@ def _run_game(args) -> None:
     if args.verb == "solve":
         winner, strategy = games.solve(game)
         _emit_json({"winner": winner, "strategy": games.strategy_to_json(strategy)})
-    elif args.verb == "verify":
-        data = _read_json(args.strategy)
-        strategy = games.strategy_from_json(data.get("strategy", data))
+        return
+    # a strategy file, or the output of "game solve" that wraps one
+    data = _read_json(args.strategy)
+    if isinstance(data, dict) and "strategy" in data:
+        data = data["strategy"]
+    strategy = games.strategy_from_json(data)
+    if args.verb == "verify":
         print("true" if games.verify_strategy(game, strategy) else "false")
     else:  # extract
-        data = _read_json(args.strategy)
-        strategy = games.strategy_from_json(data.get("strategy", data))
         collections = games.extract_collections(game, strategy)
         _emit_json(games.collections_to_json(collections))
 

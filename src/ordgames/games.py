@@ -12,11 +12,13 @@ and some selection x_i from each ball/subspace/compact intersection achieve
 
 Everything is exact: vectors and payoffs are rationals.  The model builds,
 once, a gains table holding each selection set and, per functional, its
-peak value over that set and least maximizer, so a szlenk leaf is scored
-from the partial sums s_f = sum_i w_i * peak_f(z_i, c_i).  Those sums and
-the tree node decide the rest of the game, so the solver runs backward
-induction on an explicit stack over (node, partial sums) positions (over
-whole histories under a table payoff), memoized, and then writes the
+peak value over that set and least maximizer.  One scorer carries a szlenk
+play's partial sums s_f = sum_i w_i * peak_f(z_i, c_i) move by move, as
+exact integers over one common denominator per game, for the solver, the
+playout walk behind verification and extraction, and single leaves.  The
+sums and the tree node decide the rest of the game, so the solver runs
+backward induction on an explicit stack over (node, partial sums) positions
+(over whole histories under a table payoff), memoized, and then writes the
 history-keyed strategy out by walking the plays it reaches.  Tie-breaks are
 deterministic (lexicographically least move), so solver output is
 reproducible byte for byte.
@@ -25,9 +27,10 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, path_to_text
 from .families import TruncationBudget, gamma_family
@@ -60,7 +63,6 @@ __all__ = [
 PAYOFF_SZLENK = "szlenk"
 
 Vector = Tuple[Fraction, ...]
-Matrix = Tuple[Vector, ...]
 Move = Tuple[Ordinal, int, int]
 History = Tuple[Move, ...]
 Offer = Tuple[Ordinal, int]
@@ -177,9 +179,15 @@ class ModelSpace:
 
 
 class GameSpec:
-    """A game: tree, move alphabets, node weights and a payoff set."""
+    """A game: tree, move alphabets, node weights and a payoff set.
 
-    __slots__ = ("tree", "model", "weights", "payoff")
+    Built once, for the szlenk payoff on integers: the node weights times Dw
+    and the gains table's peaks times Dp (Dw and Dp the lcms of their
+    denominators), and ``_bar``, the least sum that reaches epsilon * Dw * Dp.
+    """
+
+    _FIELDS = ("tree", "model", "weights", "payoff")
+    __slots__ = _FIELDS + ("_int_weights", "_int_peaks", "_bar")
 
     def __init__(
         self,
@@ -212,13 +220,23 @@ class GameSpec:
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "payoff", payoff)
+        gains, eps = model._gains, model.epsilon
+        dw = math.lcm(*(w.denominator for w in weights.values()))
+        dp = math.lcm(*(p.denominator for row in gains for _, ps in row for p, _ in ps or ()))
+        int_peaks = tuple(
+            tuple(None if ps is None else tuple(int(p * dp) for p, _ in ps) for _, ps in row)
+            for row in gains
+        )
+        object.__setattr__(self, "_int_weights", {k: int(w * dw) for k, w in weights.items()})
+        object.__setattr__(self, "_int_peaks", int_peaks)
+        object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
 
     def __setattr__(self, name, value):
         raise AttributeError("GameSpec is immutable")
 
     def __eq__(self, other):
         return isinstance(other, GameSpec) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__
+            getattr(self, f) == getattr(other, f) for f in self._FIELDS
         )
 
     @property
@@ -266,31 +284,30 @@ class ExtractedCollections(NamedTuple):
 # -- payoff ------------------------------------------------------------------
 
 
-def _best_functional(
-    game: GameSpec, leaf: History
-) -> Optional[Tuple[Fraction, Vector, List[Vector]]]:
-    """(value, least maximizing functional, its selections) at a maximal history.
+def _scorer(game: GameSpec):
+    """(root state, step, ii_wins): the payoff of a play, scored move by move.
 
-    The value is max over x* of sum_i w_i * max_{x in S_i} x*(x), which is
-    valid because the weights are nonnegative, so each factor maximizes
-    independently for a fixed functional; the selections are the least
-    maximizers the gains table stores.  None when a selection set is empty
-    or the model has no functionals.
+    ``step(state, child, zi, ci)`` is the state after the move (child[-1],
+    zi, ci); ``ii_wins`` judges a maximal history's state.  Under a table
+    payoff the state is the history; under the szlenk payoff, the partial
+    sums times Dw * Dp, or None once a reply's selection set is empty.  Each
+    factor peaks on its own for a fixed x*, as the weights are nonnegative.
     """
-    gains = game.model._gains
-    peaks = [gains[z][c][1] for _, z, c in leaf]
-    if None in peaks:
-        return None
-    weights = game.prefix_weights(_zproj(leaf))
-    best = None
-    for j, xstar in enumerate(game.model.functionals):
-        value = sum((w * p[j][0] for w, p in zip(weights, peaks)), Fraction(0))
-        if best is None or value > best[0] or (value == best[0] and xstar < best[1]):
-            best = (value, xstar, j)
-    if best is None:
-        return None
-    value, xstar, j = best
-    return value, xstar, [p[j][1] for p in peaks]
+    if game.payoff != PAYOFF_SZLENK:
+        return (), lambda h, child, zi, ci: h + ((child[-1], zi, ci),), game.payoff.__contains__
+    weights, peaks, bar = game._int_weights, game._int_peaks, game._bar
+
+    def step(sums, child, zi, ci):
+        gains = peaks[zi][ci]
+        if sums is None or gains is None:
+            return None
+        w = weights[child]
+        return tuple(s + w * p for s, p in zip(sums, gains))
+
+    def ii_wins(sums) -> bool:
+        return sums is not None and any(s >= bar for s in sums)
+
+    return (0,) * len(game.model.functionals), step, ii_wins
 
 
 def eval_payoff(game: GameSpec, leaf: History) -> bool:
@@ -299,10 +316,10 @@ def eval_payoff(game: GameSpec, leaf: History) -> bool:
     node = _zproj(leaf)
     if node not in game.tree or not game.tree.is_max(node):
         raise ValueError(f"{path_to_text(node)} is not maximal")
-    if game.payoff != PAYOFF_SZLENK:
-        return leaf in game.payoff
-    best = _best_functional(game, leaf)
-    return best is not None and best[0] >= game.model.epsilon
+    state, step, ii_wins = _scorer(game)
+    for i, (_, zi, ci) in enumerate(leaf, 1):
+        state = step(state, node[:i], zi, ci)
+    return ii_wins(state)
 
 
 # -- solving -----------------------------------------------------------------
@@ -330,27 +347,7 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     """
     tree = game.tree
     n_compacts = game.n_compacts
-    if game.payoff == PAYOFF_SZLENK:
-        gains, weights, epsilon = game.model._gains, game.weights, game.model.epsilon
-        root = (Fraction(0),) * len(game.model.functionals)
-
-        def step(sums, child, zi, ci):
-            peaks = gains[zi][ci][1]
-            if sums is None or peaks is None:
-                return None
-            w = weights[child]
-            return tuple(s + w * peak for s, (peak, _) in zip(sums, peaks))
-
-        def ii_wins(sums) -> bool:
-            return sums is not None and any(s >= epsilon for s in sums)
-
-    else:
-        root = ()
-
-        def step(history, child, zi, ci):
-            return history + ((child[-1], zi, ci),)
-
-        ii_wins = game.payoff.__contains__
+    root, step, ii_wins = _scorer(game)
 
     def decide(node: NodePath, state):
         # yields each non-terminal child position it needs decided and is
@@ -410,25 +407,28 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     return winner, Strategy(winner, moves)
 
 
-def _plays(game: GameSpec, strategy: Strategy) -> Iterator[tuple]:
+def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     """Walk every play consistent with ``strategy``, without recursion.
 
-    Yields ``(key, move)`` at each prescription met: ``key`` is a history for
-    Player I and a (history, offer) pair for Player II.  ``move`` is None when
-    the prescription is missing or illegal, and the walk does not go below it.
-    Yields ``(None, leaf)`` at each maximal history.
+    Carries a state down the walk: ``root`` at the empty history and
+    ``step`` at each move, as ``_scorer`` gives.  Yields ``(key, move,
+    state)`` at each prescription met: ``key`` is a history for Player I and
+    a (history, offer) pair for Player II, and ``state`` is the history's.
+    ``move`` is None when the prescription is missing or illegal, and the
+    walk does not go below it.  Yields ``(None, leaf, state)`` at each
+    maximal history.
     """
     tree = game.tree
     n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
-    stack: List[Tuple[History, NodePath]] = [((), ())]
+    stack: List[Tuple[History, NodePath, object]] = [((), (), root)]
     while stack:
-        history, node = stack.pop()
+        history, node, state = stack.pop()
         if strategy.player == "I":
             move = strategy.moves.get(history)
             if move is None or node + (move[0],) not in tree or not 0 <= move[1] < n_subspaces:
-                yield history, None
+                yield history, None, state
                 continue
-            yield history, move
+            yield history, move, state
             zeta, zi = move
             branches = [(zeta, zi, ci) for ci in range(n_compacts)]
         else:
@@ -436,26 +436,25 @@ def _plays(game: GameSpec, strategy: Strategy) -> Iterator[tuple]:
             for offer in _offers(game, node):
                 ci = strategy.moves.get((history, offer))
                 if ci is None or not 0 <= ci < n_compacts:
-                    yield (history, offer), None
+                    yield (history, offer), None, state
                     continue
-                yield (history, offer), ci
+                yield (history, offer), ci, state
                 branches.append(offer + (ci,))
         for move in branches:
             child = node + (move[0],)
+            after = step(state, child, move[1], move[2])
             if tree.is_max(child):
-                yield None, history + (move,)
+                yield None, history + (move,), after
             else:
-                stack.append((history + (move,), child))
+                stack.append((history + (move,), child, after))
 
 
 def verify_strategy(game: GameSpec, strategy: Strategy) -> bool:
     """Exhaustively play every admissible playout; True iff all favor the owner."""
     owner_is_ii = strategy.player == "II"
-    for key, move in _plays(game, strategy):
-        if key is not None:
-            if move is None:
-                return False
-        elif eval_payoff(game, move) != owner_is_ii:
+    root, step, ii_wins = _scorer(game)
+    for key, move, state in _plays(game, strategy, root, step):
+        if move is None or key is None and ii_wins(state) != owner_is_ii:
             return False
     return True
 
@@ -529,9 +528,9 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
         if node + (zeta,) not in tree or not 0 <= zi < game.n_subspaces:
             raise ValueError("substrategy prescribes an illegal move")
     # every position reachable by following the substrategy must be covered
-    if any(
-        key is not None and move is None for key, move in _plays(game, Strategy("I", moves))
-    ):
+    root, step, _ = _scorer(game)
+    plays = _plays(game, Strategy("I", moves), root, step)
+    if any(key is not None and move is None for key, move, _ in plays):
         raise ValueError("substrategy is undefined at a reachable position")
 
     total: Dict[History, Offer] = {}
@@ -561,30 +560,39 @@ def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollecti
     at a (label, subspace) history is what the strategy replies along its own
     play; at each maximal history the payoff inequality holds, and its exact
     witnesses supply the functional and the selection vectors, indexed by
-    (prefix, maximal history) pairs.
+    (prefix, maximal history) pairs.  The functional is the one of greatest
+    value, the least such vector first; the selections are the least
+    maximizers the gains table stores for it.
     """
     if game.payoff != PAYOFF_SZLENK:
         raise ValueError("collection extraction needs the szlenk payoff")
     if strategy.player != "II":
         raise ValueError("collection extraction needs a strategy for Player II")
+    gains, xstars = game.model._gains, game.model.functionals
+    by_vector = sorted(range(len(xstars)), key=xstars.__getitem__)
+    root, step, ii_wins = _scorer(game)
+
+    def step_with_prefixes(state, child, zi, ci):
+        # the partial sums, and the (label, subspace) prefixes of the history,
+        # the empty one first, shared with every history below it
+        sums, prefixes = state
+        return step(sums, child, zi, ci), prefixes + (prefixes[-1] + ((child[-1], zi),),)
+
     compact_choices: Dict[ZDHistory, int] = {}
     functionals: Dict[ZDHistory, Vector] = {}
     selections: Dict[Tuple[ZDHistory, ZDHistory], Vector] = {}
-    for key, leaf in _plays(game, strategy):
-        if key is not None:
-            if leaf is None:
-                raise ValueError("strategy is not a verified win for Player II")
-            continue
-        best = _best_functional(game, leaf)
-        if best is None or best[0] < game.model.epsilon:
+    for key, move, (sums, prefixes) in _plays(game, strategy, (root, ((),)), step_with_prefixes):
+        if move is None or key is None and not ii_wins(sums):
             raise ValueError("strategy is not a verified win for Player II")
-        _, xstar, chosen = best
-        pairs = tuple((zeta, zi) for zeta, zi, _ in leaf)
-        functionals[pairs] = xstar
-        for i, (move, x) in enumerate(zip(leaf, chosen), 1):
-            prefix = pairs[:i]
-            compact_choices[prefix] = move[2]
-            selections[(prefix, pairs)] = x
+        if key is not None:
+            compact_choices[prefixes[-1] + (key[1],)] = move
+            continue
+        top = max(sums)
+        j = next(j for j in by_vector if sums[j] == top)
+        pairs = prefixes[-1]
+        functionals[pairs] = xstars[j]
+        for prefix, (_, zi, ci) in zip(prefixes[1:], move):
+            selections[(prefix, pairs)] = gains[zi][ci][1][j][1]
     return ExtractedCollections(compact_choices, functionals, selections)
 
 
@@ -621,11 +629,6 @@ def history_from_text(text: str) -> History:
 
 def _offer_to_text(offer: Offer) -> str:
     return f"{offer[0]}:{offer[1]}"
-
-
-def _offer_from_text(text: str) -> Offer:
-    zeta, zi = text.split(":")
-    return (Ordinal(zeta), int(zi))
 
 
 def _pairs_to_text(pairs: ZDHistory) -> str:
@@ -730,17 +733,27 @@ def strategy_to_json(strategy: Strategy) -> dict:
 def strategy_from_json(data: Union[dict, str]) -> Strategy:
     if isinstance(data, str):
         data = json.loads(data)
-    player = data["player"]
-    if player == "I":
-        moves = {
-            history_from_text(key): (Ordinal(value[0]), int(value[1]))
-            for key, value in data["moves"].items()
-        }
-    else:
-        moves = {}
-        for key, value in data["moves"].items():
+    if not isinstance(data, dict):
+        raise ValueError("a strategy must be a JSON object")
+    player, items = data["player"], data["moves"]
+    if player not in ("I", "II"):
+        raise ValueError(f'"player" must be "I" or "II", not {player!r}')
+    if not isinstance(items, dict):
+        raise ValueError('"moves" must be a JSON object')
+    is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+    moves = {}
+    for key, value in items.items():
+        if player == "I":
+            if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+                    and is_int(value[1])):
+                raise ValueError(f"Player I's move must be [label, subspace index], not {value!r}")
+            moves[history_from_text(key)] = (Ordinal(value[0]), value[1])
+        else:
+            if not is_int(value):
+                raise ValueError(f"Player II's move must be a compact index, not {value!r}")
             hist_text, offer_text = key.split("|")
-            moves[(history_from_text(hist_text), _offer_from_text(offer_text))] = int(value)
+            zeta, zi = offer_text.split(":")
+            moves[(history_from_text(hist_text), (Ordinal(zeta), int(zi)))] = value
     return Strategy(player, moves)
 
 

@@ -120,6 +120,41 @@ def payoff_by_enumeration(game: GameSpec, leaf) -> bool:
     return False
 
 
+def verify_by_enumeration(game: GameSpec, strategy: Strategy) -> bool:
+    """Does every play that follows ``strategy`` end in a win for its owner?
+
+    Walks the plays by recursion and scores each leaf with
+    ``payoff_by_enumeration`` (or the table); a missing or illegal
+    prescription at a reached history fails.
+    """
+    tree = game.tree
+    owner_is_ii = strategy.player == "II"
+
+    def wins(history, node) -> bool:
+        if node and tree.is_max(node):
+            if game.payoff == PAYOFF_SZLENK:
+                return payoff_by_enumeration(game, history) == owner_is_ii
+            return (history in game.payoff) == owner_is_ii
+        if owner_is_ii:
+            moves = []
+            for zeta in tree.children_labels(node):
+                for zi in range(game.n_subspaces):
+                    ci = strategy.moves.get((history, (zeta, zi)))
+                    if ci is None or not 0 <= ci < game.n_compacts:
+                        return False
+                    moves.append((zeta, zi, ci))
+        else:
+            offer = strategy.moves.get(history)
+            if offer is None or node + (offer[0],) not in tree:
+                return False
+            if not 0 <= offer[1] < game.n_subspaces:
+                return False
+            moves = [offer + (ci,) for ci in range(game.n_compacts)]
+        return all(wins(history + (move,), node + (move[0],)) for move in moves)
+
+    return wins((), ())
+
+
 def maximal_histories(game: GameSpec):
     """Every complete playout of the game, in deterministic order."""
     tree = game.tree

@@ -302,6 +302,18 @@ class TestGame:
         game_file.write_text(json.dumps(change(json.loads(game_file.read_text()))))
         assert_domain_error(run_cli(capsys, "game", "solve", str(game_file)))
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [[1], {"player": "I", "moves": [1]}, {"player": "I", "moves": {"": 5}}, {"strategy": 5}],
+        ids=["array", "list-moves", "int-move", "int-strategy"],
+    )
+    def test_wrong_shape_strategy_is_a_domain_error(self, capsys, tmp_path, strategy):
+        game_file = self.build_game_file(capsys, tmp_path)
+        strategy_file = tmp_path / "strategy.json"
+        strategy_file.write_text(json.dumps(strategy))
+        for verb in ("verify", "extract"):
+            assert_domain_error(run_cli(capsys, "game", verb, str(game_file), str(strategy_file)))
+
     def test_solve_deterministic(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path, xi="2", max_n="2")
         first = run_cli(capsys, "game", "solve", str(game_file))

@@ -14,6 +14,7 @@ from oracles import (
     random_model,
     reachable_restriction,
     selection_set,
+    verify_by_enumeration,
     winner_by_rerooting,
 )
 from ordgames.btree import FiniteBTree, path_from_text
@@ -192,6 +193,63 @@ class TestEvalPayoff:
                 checked += 1
 
 
+class TestExactPartialSums:
+    """The payoff is scored on integer partial sums over common denominators;
+    these games sit on the boundary of the payoff inequality."""
+
+    def test_w_szlenk_gamma1_at_its_value(self):
+        # 2/3 is the value of this game: II wins at 2/3, I just above it
+        budget = TruncationBudget(max_n=3)
+        at_value = build_szlenk_game(ONE, budget, ModelSpace(epsilon=Fraction(2, 3), **W_SZLENK))
+        winner, strategy = solve(at_value)
+        assert winner == "II"
+        assert verify_strategy(at_value, strategy)
+        assert extract_collections(at_value, strategy).functionals
+        above = Fraction(2, 3) + Fraction(1, 10**6)
+        game = build_szlenk_game(ONE, budget, ModelSpace(epsilon=above, **W_SZLENK))
+        winner, strategy = solve(game)
+        assert winner == "I"
+        assert verify_strategy(game, strategy)
+
+    def test_coprime_denominators_match_enumeration(self):
+        # weight denominators 7, 11 and 13, peak denominators 3 and 5; epsilon
+        # runs over every value a leaf's selections reach, so at each epsilon
+        # some leaf meets the payoff inequality with equality
+        tree = FiniteBTree.closure([P("1,1,1"), P("1,2")])
+        weights = {P("1"): Fraction(1, 7), P("1,1"): Fraction(1, 11), P("1,2"): Fraction(2, 11),
+                   P("1,1,1"): Fraction(1, 13)}
+        model = dict(dim=1, subspaces=[[]], compacts=[[["1/3"]], [["2/5"]], [["-3/5"], ["1/3"]]],
+                     functionals=[["1"], ["-1"]])
+        probe = GameSpec(tree, ModelSpace(epsilon=1, **model), weights, PAYOFF_SZLENK)
+        leaves = maximal_histories(probe)
+        values = set()
+        for leaf in leaves:
+            ws = probe.prefix_weights(tuple(m[0] for m in leaf))
+            for xstar in probe.model.functionals:
+                combos = itertools.product(*(selection_set(probe.model, z, c) for _, z, c in leaf))
+                for combo in combos:
+                    values.add(sum(w * xstar[0] * x[0] for w, x in zip(ws, combo)))
+        seen = set()
+        for eps in sorted(v for v in values if v > 0):
+            game = GameSpec(tree, ModelSpace(epsilon=eps, **model), weights, PAYOFF_SZLENK)
+            outcomes = [eval_payoff(game, leaf) for leaf in leaves]
+            assert outcomes == [payoff_by_enumeration(game, leaf) for leaf in leaves]
+            seen.add(tuple(outcomes))
+        assert len(seen) > 2  # the winning leaves change with epsilon
+
+    @pytest.mark.parametrize(
+        "model",
+        [whole_space_model(functionals=()), ModelSpace(1, [[]], [[["2"]]], [["1"]], HALF)],
+        ids=["no-functionals", "empty-selection-set"],
+    )
+    def test_nothing_to_score_gives_player_one(self, model):
+        game = build_szlenk_game(Ordinal(2), TruncationBudget(max_n=2), model)
+        winner, strategy = solve(game)
+        assert winner == "I"
+        assert verify_strategy(game, strategy)
+        assert not any(eval_payoff(game, leaf) for leaf in maximal_histories(game))
+
+
 class TestSolve:
     def test_payoff_false_table_player_one_wins(self):
         game = single_node_game(payoff=frozenset())
@@ -285,6 +343,59 @@ class TestVerifyStrategy:
         game = single_node_game(payoff=frozenset())
         assert not verify_strategy(game, Strategy("I", {(): (Ordinal(9), 0)}))
         assert not verify_strategy(game, Strategy("I", {(): (ONE, 5)}))
+
+    @staticmethod
+    def flip_one_move(game, strategy, rng):
+        """The strategy with one reply or offer changed, or None if it has no other."""
+        key = rng.choice(list(strategy.moves))
+        if strategy.player == "II":
+            if game.n_compacts == 1:
+                return None
+            changed = (strategy.moves[key] + 1) % game.n_compacts
+        else:
+            node = tuple(move[0] for move in key)
+            offers = [
+                (zeta, zi)
+                for zeta in game.tree.children_labels(node)
+                for zi in range(game.n_subspaces)
+            ]
+            if len(offers) == 1:
+                return None
+            changed = offers[(offers.index(strategy.moves[key]) + 1) % len(offers)]
+        return Strategy(strategy.player, {**strategy.moves, key: changed})
+
+    def test_matches_enumeration_oracle(self):
+        # the oracle scores every leaf from the full selection products in
+        # Fraction arithmetic; the library walks the integer partial sums.
+        # Every witness extract_collections returns is checked in Fraction
+        rng = random.Random(5150)
+        flipped_rejected = witnessed = 0
+        for _ in range(60):
+            game = random_game(rng)
+            _, strategy = solve(game)
+            flipped = self.flip_one_move(game, strategy, rng)
+            for candidate in filter(None, (strategy, flipped)):
+                ok = verify_strategy(game, candidate)
+                assert ok == verify_by_enumeration(game, candidate)
+                flipped_rejected += candidate is flipped and not ok
+                if game.payoff != PAYOFF_SZLENK or candidate.player != "II":
+                    continue
+                if not ok:
+                    with pytest.raises(ValueError):
+                        extract_collections(game, candidate)
+                    continue
+                collections = extract_collections(game, candidate)
+                for t, xstar in collections.functionals.items():
+                    weights = game.prefix_weights(tuple(offer[0] for offer in t))
+                    total = Fraction(0)
+                    for i, w in enumerate(weights, 1):
+                        s = t[:i]
+                        x = collections.selections[(s, t)]
+                        assert x in selection_set(game.model, s[-1][1], collections.compact_choices[s])
+                        total += w * sum(a * b for a, b in zip(xstar, x))
+                    assert total >= game.model.epsilon
+                    witnessed += 1
+        assert flipped_rejected > 0 and witnessed > 0
 
 
 class TestBruteForce:
@@ -491,6 +602,13 @@ class TestExtractCollections:
         assert collections.compact_choices == {key: 0}
         assert collections.functionals == {key: (Fraction(1),)}
         assert collections.selections == {(key, key): (Fraction(1),)}
+
+    def test_tie_takes_least_functional(self):
+        # both functionals reach 1/2; the lesser vector (0, 1) is listed second
+        model = ModelSpace(2, [[]], [[["1/2", "1/2"]]], [["1", "0"], ["0", "1"]], HALF)
+        game = single_node_game(model)
+        collections = extract_collections(game, solve(game)[1])
+        assert collections.functionals == {((ONE, 0),): (Fraction(0), Fraction(1))}
 
     def test_rejects_player_one(self):
         game = single_node_game(payoff=frozenset())
