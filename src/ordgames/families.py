@@ -15,12 +15,18 @@ branch only if it is maximal in the full, untruncated family.
 Structure of the Gamma family at a successor index xi = sigma + 1: a member
 is a concatenation of blocks, the i-th block being a member of the Gamma
 family at sigma shifted label-wise by omega^sigma * (n - i) for a single
-parameter n >= 1.  All blocks before the last must be maximal.  Labels are
-decomposed back into (block index, inner label) by division by omega^sigma
-with remainders taken in (0, omega^sigma], which is unambiguous because
-inner labels lie in [1, omega^sigma].  At a limit index the family is the
-union over zeta < xi of the successor family at zeta + 1 shifted by
-omega^zeta; the component of a path is recovered from its first label.
+parameter n >= 1, and every node weight is divided by n.  All blocks before
+the last must be maximal.  Labels are decomposed back into (block index,
+inner label) by division by omega^sigma with remainders taken in
+(0, omega^sigma], which is unambiguous because inner labels lie in
+[1, omega^sigma].  At a limit index the family is the union over zeta < xi
+of the successor family at zeta + 1 shifted by omega^zeta; the component of
+a path is recovered from its first label.
+
+One recursive reader, ``_gamma_read``, follows this split once per path;
+every Gamma query is a line or two over its reading.  It keeps the module's
+one path-keyed cache: a walk asks several queries of each path, and blocks
+recur across paths.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, path_to_text
 from .ordinal import ONE, ZERO, Ordinal, OrdinalError, omega_pow, quot_rem_omega_pow, subtract_left
@@ -187,64 +193,58 @@ class GammaFamily(_Family):
     kind = "Gamma"
 
     def member(self, path: NodePath) -> bool:
-        return _gamma_member(self.xi, tuple(path))
+        return _gamma_read(self.xi, tuple(path)) is not None
 
     def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
+        # sorted as built: block n's labels lie in (unit * n, unit * (n + 1)],
+        # and component zeta's in (omega^zeta, omega^(zeta + 1)]
         xi = self.xi
         if xi.is_zero:
             return [ONE]
-        out = []
         if xi.is_successor:
             sigma = xi.pred()
-            unit = omega_pow(sigma)
-            inner = gamma_family(sigma).root_labels(budget)
-            for n in range(1, budget.max_n + 1):
-                offset = unit * (n - 1)
-                out.extend(offset + r for r in inner)
-        else:
-            for k in range(budget.max_n):
-                zeta = _fundamental(xi, k)
-                offset = omega_pow(zeta)
-                out.extend(offset + r for r in gamma_family(zeta + 1).root_labels(budget))
-        return sorted(out)
+            unit, inner = omega_pow(sigma), gamma_family(sigma).root_labels(budget)
+            return [unit * n + r for n in range(budget.max_n) for r in inner]
+        zetas = [_fundamental(xi, k) for k in range(budget.max_n)]
+        return [omega_pow(z) + r for z in zetas for r in gamma_family(z + 1).root_labels(budget)]
 
     def _labels_below(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
-        xi = self.xi
-        if xi.is_zero:
+        return self._below(_gamma_read(self.xi, path), budget)
+
+    def _below(self, reading: _Reading, budget: TruncationBudget) -> List[Ordinal]:
+        # a maximal reading has nothing below it, and every reading at 0 is
+        # maximal; shifting a sorted list on the left keeps it sorted
+        if reading.maximal:
             return []
-        if xi.is_successor:
-            sigma = xi.pred()
-            n, blocks = _gamma_blocks(sigma, path)
-            sub = gamma_family(sigma)
-            unit = omega_pow(sigma)
-            m = len(blocks)
-            last = blocks[-1]
-            out = [unit * (n - m) + r for r in sub._labels_below(last, budget)]
-            if m < n and _gamma_maximal(sigma, last):
-                offset = unit * (n - m - 1)
-                out.extend(offset + r for r in sub.root_labels(budget))
-            return sorted(out)
-        zeta, stripped = _gamma_component(xi, path)
+        if self.xi.is_successor:
+            sigma = self.xi.pred()
+            q, last = reading.inner
+            sub, unit = gamma_family(sigma), omega_pow(sigma)
+            if last.maximal:  # so q > 0: open the next block
+                return [unit * (q - 1) + r for r in sub.root_labels(budget)]
+            return [unit * q + r for r in sub._below(last, budget)]
+        zeta, stripped = reading.inner
         offset = omega_pow(zeta)
-        return [offset + c for c in gamma_family(zeta + 1)._labels_below(stripped, budget)]
+        return [offset + r for r in gamma_family(zeta + 1)._below(stripped, budget)]
 
     def _leaf(self, path: NodePath) -> bool:
-        return _gamma_maximal(self.xi, path)
+        return _gamma_read(self.xi, path).maximal
+
+    def _read(self, path: NodePath) -> _Reading:
+        return _gamma_read(self.xi, self._require_member(path))
 
     def rank(self, path: NodePath) -> Ordinal:
-        path = self._require_member(path)
-        return _gamma_rank(self.xi, path)
+        return self._read(path).rank
 
     # -- weights -------------------------------------------------------------
 
     def weight(self, path: NodePath) -> Fraction:
         """The exact rational weight of a member node."""
-        return self.prefix_weights(path)[-1]
+        return Fraction(1, self._read(path).denominators[-1])
 
     def prefix_weights(self, path: NodePath) -> Tuple[Fraction, ...]:
         """Weights of every nonempty prefix of ``path``, in order."""
-        path = self._require_member(path)
-        return _prefix_weights(self.xi, path)
+        return tuple(Fraction(1, d) for d in self._read(path).denominators)
 
     def branch_weight_sum(self, path: NodePath) -> Tuple[Fraction, bool]:
         """Sum of prefix weights plus a flag: True iff the branch is maximal.
@@ -252,132 +252,71 @@ class GammaFamily(_Family):
         The sum equals 1 exactly when the flag is True; otherwise it is the
         partial sum along a non-maximal path.
         """
-        path = self._require_member(path)
-        total = sum(_prefix_weights(self.xi, path), Fraction(0))
-        return total, _gamma_maximal(self.xi, path)
+        return sum(self.prefix_weights(path), Fraction(0)), self._read(path).maximal
+
+
+class _Reading(NamedTuple):
+    """What ``_gamma_read`` gives for a member path."""
+
+    rank: Ordinal
+    maximal: bool
+    denominators: Tuple[int, ...]  # prefix k weighs 1 / denominators[k]
+    # for the labels below: () at 0, (the last block's quotient, its reading)
+    # at a successor, (zeta, the stripped path's reading) at a limit
+    inner: tuple
 
 
 @lru_cache(maxsize=1 << 16)
-def _gamma_blocks(sigma: Ordinal, path: NodePath) -> Optional[Tuple[int, Tuple[NodePath, ...]]]:
-    """Decompose successor-stage labels into (n, blocks of inner labels).
+def _gamma_read(xi: Ordinal, path: NodePath) -> Optional[_Reading]:
+    """Read ``path`` in the Gamma family at ``xi``; None for a non-member.
 
-    Returns None if the labels do not parse: every label must split as
-    omega^sigma * q + r with r in (0, omega^sigma] and finite q, consecutive
-    equal quotients form blocks, and the block quotients must read
-    n-1, n-2, ..., n-m for some n >= m >= 1.
+    At a successor, consecutive labels with equal quotient form a block,
+    and the block quotients must descend by one (to n - m >= 0 for m
+    blocks).  At a limit, the component zeta is the first label's leading
+    exponent: Gamma at zeta + 1 has its labels in [1, omega^(zeta + 1)), so
+    shifting them by omega^zeta keeps that exponent.
     """
-    quotients: List[int] = []
-    remainders: List[Ordinal] = []
-    for label in path:
-        try:
-            q, r = quot_rem_omega_pow(label, sigma, remainder_in_half_open_above=True)
-        except OrdinalError:
-            return None
-        if not q.is_finite:
-            return None
-        quotients.append(q.as_int())
-        remainders.append(r)
-    n = quotients[0] + 1
-    blocks: List[Tuple[Ordinal, ...]] = []
-    block: List[Ordinal] = []
-    expected = quotients[0]
-    for q, r in zip(quotients, remainders):
-        if q == expected:
-            block.append(r)
-        elif q == expected - 1:
-            blocks.append(tuple(block))
-            block = [r]
-            expected = q
-        else:
-            return None
-    blocks.append(tuple(block))
-    if len(blocks) > n:  # quotients must stay >= 0, i.e. m <= n
-        return None
-    return n, tuple(blocks)
-
-
-@lru_cache(maxsize=1 << 16)
-def _gamma_member(xi: Ordinal, path: NodePath) -> bool:
     if not path:
-        return False
-    if xi.is_zero:
-        return path == (ONE,)
-    if xi.is_successor:
-        sigma = xi.pred()
-        parsed = _gamma_blocks(sigma, path)
-        if parsed is None:
-            return False
-        _, blocks = parsed
-        if not _gamma_member(sigma, blocks[-1]):
-            return False
-        return all(
-            _gamma_member(sigma, b) and _gamma_maximal(sigma, b) for b in blocks[:-1]
-        )
-    return _gamma_component(xi, path) is not None
-
-
-def _gamma_maximal(xi: Ordinal, path: NodePath) -> bool:
-    if xi.is_zero:
-        return True
-    if xi.is_successor:
-        n, blocks = _gamma_blocks(xi.pred(), path)
-        return len(blocks) == n and _gamma_maximal(xi.pred(), blocks[-1])
-    zeta, stripped = _gamma_component(xi, path)
-    return _gamma_maximal(zeta + 1, stripped)
-
-
-@lru_cache(maxsize=1 << 16)
-def _gamma_component(xi: Ordinal, path: NodePath) -> Optional[Tuple[Ordinal, NodePath]]:
-    """Resolve the component of a path in a limit-stage family.
-
-    Candidate offsets omega^zeta are read off the first label; candidates are
-    tried largest first and the first whose stripped path is a member of the
-    successor family at zeta + 1 wins.
-    """
-    mu = path[0]
-    if mu.is_zero:
         return None
-    e = mu.leading_exponent
-    candidates = []
-    if e < xi:
-        candidates.append(e)
-    if mu == omega_pow(e) and e.is_successor and e.pred() < xi:
-        candidates.append(e.pred())
-    for zeta in candidates:
-        unit = omega_pow(zeta)
-        try:
-            stripped = tuple(subtract_left(unit, label) for label in path)
-        except OrdinalError:
-            continue
-        if _gamma_member(zeta + 1, stripped):
-            return zeta, stripped
-    return None
-
-
-def _gamma_rank(xi: Ordinal, path: NodePath) -> Ordinal:
     if xi.is_zero:
-        return ZERO
+        return _Reading(ZERO, True, (1,), ()) if path == (ONE,) else None
     if xi.is_successor:
         sigma = xi.pred()
-        n, blocks = _gamma_blocks(sigma, path)
-        return omega_pow(sigma) * (n - len(blocks)) + _gamma_rank(sigma, blocks[-1])
-    zeta, stripped = _gamma_component(xi, path)
-    return _gamma_rank(zeta + 1, stripped)
-
-
-@lru_cache(maxsize=1 << 16)
-def _prefix_weights(xi: Ordinal, path: NodePath) -> Tuple[Fraction, ...]:
-    if xi.is_zero:
-        return (Fraction(1),)
-    if xi.is_successor:
-        sigma = xi.pred()
-        n, blocks = _gamma_blocks(sigma, path)
-        out: List[Fraction] = []
-        for block in blocks:
-            out.extend(w / n for w in _prefix_weights(sigma, block))
-        return tuple(out)
-    zeta, stripped = _gamma_component(xi, path)
-    return _prefix_weights(zeta + 1, stripped)
+        blocks: List[List[Ordinal]] = []
+        q_last = -1
+        for label in path:
+            try:
+                q, r = quot_rem_omega_pow(label, sigma, remainder_in_half_open_above=True)
+                q = q.as_int()  # an infinite quotient is no block index
+            except OrdinalError:
+                return None
+            if q == q_last:
+                blocks[-1].append(r)
+            elif not blocks or q == q_last - 1:
+                blocks.append([r])
+                q_last = q
+            else:
+                return None
+        readings = [_gamma_read(sigma, tuple(block)) for block in blocks]
+        *head, last = readings
+        if last is None or not all(b is not None and b.maximal for b in head):
+            return None
+        n = q_last + len(blocks)
+        return _Reading(
+            omega_pow(sigma) * q_last + last.rank,
+            q_last == 0 and last.maximal,
+            tuple(d * n for b in readings for d in b.denominators),
+            (q_last, last),
+        )
+    if path[0].is_zero or not path[0].leading_exponent < xi:
+        return None
+    zeta = path[0].leading_exponent
+    try:
+        stripped = tuple(subtract_left(omega_pow(zeta), label) for label in path)
+    except OrdinalError:
+        return None
+    reading = _gamma_read(zeta + 1, stripped)
+    return None if reading is None else reading._replace(inner=(zeta, reading))
 
 
 @lru_cache(maxsize=None)
@@ -413,9 +352,12 @@ def budget_from_json(data: Union[dict, str]) -> TruncationBudget:
     """Build a budget from {"max_n": N, "max_depth": D} (max_depth optional)."""
     if isinstance(data, str):
         data = json.loads(data)
-    if "max_depth" in data:
-        return TruncationBudget(max_n=int(data["max_n"]), max_depth=int(data["max_depth"]))
-    return TruncationBudget(max_n=int(data["max_n"]))
+    if not isinstance(data, dict):
+        raise ValueError("a budget must be a JSON object")
+    max_n, max_depth = data["max_n"], data.get("max_depth", TruncationBudget.max_depth)
+    if type(max_n) is not int or type(max_depth) is not int:
+        raise ValueError("budget max_n and max_depth must be integers")
+    return TruncationBudget(max_n=max_n, max_depth=max_depth)
 
 
 def _inflate(path: NodePath, a: Ordinal, b: Ordinal) -> NodePath:

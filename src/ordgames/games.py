@@ -211,10 +211,7 @@ class GameSpec:
                 node = _zproj(h)
                 if node not in tree or not tree.is_max(node):
                     raise ValueError("payoff table entry is not a maximal history")
-                if not all(
-                    0 <= z < len(model.subspaces) and 0 <= c < len(model.compacts)
-                    for _, z, c in h
-                ):
+                if not _legal_indices(model, h):
                     raise ValueError("payoff table entry uses an illegal move index")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "model", model)
@@ -310,12 +307,20 @@ def _scorer(game: GameSpec):
     return (0,) * len(game.model.functionals), step, ii_wins
 
 
+def _legal_indices(model: ModelSpace, history: History) -> bool:
+    return all(
+        0 <= z < len(model.subspaces) and 0 <= c < len(model.compacts) for _, z, c in history
+    )
+
+
 def eval_payoff(game: GameSpec, leaf: History) -> bool:
     """Does the terminal history belong to the payoff set?"""
     leaf = tuple(tuple(m) for m in leaf)
     node = _zproj(leaf)
     if node not in game.tree or not game.tree.is_max(node):
         raise ValueError(f"{path_to_text(node)} is not maximal")
+    if not _legal_indices(game.model, leaf):
+        raise ValueError("leaf uses an illegal move index")
     state, step, ii_wins = _scorer(game)
     for i, (_, zi, ci) in enumerate(leaf, 1):
         state = step(state, node[:i], zi, ci)

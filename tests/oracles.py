@@ -22,7 +22,7 @@ from ordgames.games import (
     eval_payoff,
     game_position_count,
 )
-from ordgames.ordinal import OMEGA, ZERO, Ordinal
+from ordgames.ordinal import OMEGA, ONE, ZERO, Ordinal, omega_pow
 
 
 def mul_by_repeated_add(a: Ordinal, n: int) -> Ordinal:
@@ -87,6 +87,55 @@ def t_members(xi: Ordinal, labels, max_len: int):
             path, below = prefix + (mu,), mu.pred()
             out[path] = (below, below.is_zero)
             frontier.append((path, below))
+    return out
+
+
+def gamma_members(xi: Ordinal, max_n: int, max_len: int):
+    """Members of the Gamma family at ``xi`` up to length ``max_len`` whose
+    block parameters are at most ``max_n``, assembled from the definition:
+    Gamma at 0 is the single node (1) of weight 1; a member of Gamma at s+1
+    is m <= n blocks, block i a member of Gamma at s shifted by w^s * (n - i),
+    every block before the last maximal, and every weight divided by n; Gamma
+    at a limit d + w is the union of Gamma at z+1 shifted by w^z over
+    z = d + k, k < max_n (the only limits handled).
+
+    Maps each member to (its rank, whether it is maximal, its prefix
+    weights).  Below a member with m blocks lie the rest of its last block
+    and n - m whole blocks of order w^s each, so its rank is
+    w^s * (n - m) plus the last block's rank.
+    """
+    if xi.is_zero:
+        return {(ONE,): (ZERO, True, (Fraction(1),))}
+    if xi.is_limit:
+        beta, c = xi.terms[-1]
+        if beta != ONE:
+            raise ValueError(f"only limits d + w are handled, not {xi}")
+        delta = Ordinal(xi.terms[:-1] + (((ONE, c - 1),) if c > 1 else ()))
+        out = {}
+        for k in range(max_n):
+            zeta = delta + k
+            unit = omega_pow(zeta)
+            for path, value in gamma_members(zeta + 1, max_n, max_len).items():
+                out[tuple(unit + label for label in path)] = value
+        return out
+    sigma = xi.pred()
+    unit = omega_pow(sigma)
+    inner = gamma_members(sigma, max_n, max_len)
+    out = {}
+    for n in range(1, max_n + 1):
+        heads = [((), ())]  # (labels, weights) of the maximal blocks so far
+        for i in range(1, n + 1):
+            offset, longer = unit * (n - i), []
+            for labels, weights in heads:
+                for block, (rank, maximal, block_weights) in inner.items():
+                    if len(labels) + len(block) > max_len:
+                        continue
+                    path = labels + tuple(offset + label for label in block)
+                    path_weights = weights + tuple(w / n for w in block_weights)
+                    out[path] = (offset + rank, maximal and i == n, path_weights)
+                    if maximal:
+                        longer.append((path, path_weights))
+            heads = longer
     return out
 
 

@@ -170,6 +170,21 @@ class TestFamily:
         assert first == second
 
     @pytest.mark.parametrize(
+        "budget",
+        [
+            '{"max_n": null}',
+            "[1]",
+            "5",
+            '{"max_n": 2, "max_depth": [1]}',
+            '{"max_n": "3"}',
+            '{"max_n": 2.5}',
+        ],
+        ids=["null-max-n", "array", "int", "array-max-depth", "string-max-n", "float-max-n"],
+    )
+    def test_wrong_shape_budget_is_a_domain_error(self, capsys, budget):
+        assert_domain_error(run_cli(capsys, "family", "truncate", "Gamma", "1", "--budget", budget))
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["rank", "T", "3000", ",".join(str(k) for k in range(3000, 0, -1))],

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordinals
-from oracles import gamma1_members, gamma2_members_from_display, t_members
+from oracles import gamma1_members, gamma2_members_from_display, gamma_members, t_members
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
     TruncationBudget,
@@ -192,6 +192,39 @@ class TestTOracle:
             self.assert_labels_below(family.children(path, budget), rank, budget)
         for length in range(4):
             for path in itertools.product(universe, repeat=length):
+                assert family.member(path) == (path in built), path
+                if path not in built:
+                    with pytest.raises(ValueError):
+                        family.is_maximal(path)
+
+
+class TestGammaOracle:
+    INDICES = [ZERO, ONE, Ordinal(2), Ordinal(3), OMEGA, OMEGA + 1, OMEGA + 2, OMEGA * 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(INDICES), st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_matches_top_down_construction(self, xi, max_n, max_len, data):
+        # finite, successor and limit indices up to w*2; a member with labels
+        # in the universe of the built members has block parameters <= max_n,
+        # so every other path over a sample of that universe must be rejected
+        max_n = max_n if xi.is_finite else min(max_n, 2)
+        family, budget = gamma_family(xi), B(max_n)
+        built = gamma_members(xi, max_n, max_len)
+        below = {}
+        for path in built:
+            below.setdefault(path[:-1], set()).add(path[-1])
+        assert family.children((), budget) == sorted(below[()])
+        for path, (rank, maximal, weights) in built.items():
+            assert family.member(path)
+            assert family.rank(path) == rank
+            assert family.is_maximal(path) is maximal
+            assert family.prefix_weights(path) == weights
+            if len(path) < max_len:
+                assert family.children(path, budget) == sorted(below.get(path, ()))
+        universe = sorted({label for path in built for label in path})
+        sample = data.draw(st.lists(st.sampled_from(universe), max_size=5, unique=True))
+        for length in range(max_len + 1):
+            for path in itertools.product(sample, repeat=length):
                 assert family.member(path) == (path in built), path
                 if path not in built:
                     with pytest.raises(ValueError):

@@ -171,6 +171,14 @@ class TestEvalPayoff:
         with pytest.raises(ValueError):
             eval_payoff(game, LEAF)
 
+    @pytest.mark.parametrize("payoff", [PAYOFF_SZLENK, frozenset({LEAF})], ids=["szlenk", "table"])
+    def test_move_indices_checked(self, payoff):
+        # two subspaces and one compact: -1 must not wrap round to subspace 1
+        game = single_node_game(whole_space_model(extra_subspaces=[ZERO_SUBSPACE_1D]), payoff)
+        for leaf in [((ONE, -1, 0),), ((ONE, 2, 0),), ((ONE, 0, 1),), ((ONE, 0, -1),)]:
+            with pytest.raises(ValueError):
+                eval_payoff(game, leaf)
+
     def test_no_functionals_means_false(self):
         game = single_node_game(whole_space_model(functionals=()))
         assert eval_payoff(game, LEAF) is False
