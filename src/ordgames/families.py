@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, path_to_text
-from .ordinal import ONE, ZERO, Ordinal, OrdinalError, omega_pow, quot_rem_omega_pow, subtract_left
+from .ordinal import ONE, ZERO, Ordinal, OrdinalError, _from_cnf, omega_pow, quot_rem_omega_pow, subtract_left
 
 __all__ = [
     "TruncationBudget",
@@ -77,7 +77,7 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
     """The k-th element (k >= 0) of the canonical cofinal sequence of a limit."""
     beta, c = lam.terms[-1]
     head = lam.terms[:-1]
-    delta = Ordinal(head + ((beta, c - 1),)) if c > 1 else Ordinal(head)
+    delta = _from_cnf(head + ((beta, c - 1),) if c > 1 else head)
     if beta.is_successor:
         return delta + omega_pow(beta.pred()) * k
     return delta + omega_pow(_fundamental(beta, k))

@@ -13,6 +13,15 @@ Text syntax (accepted by ``Ordinal(...)`` and emitted by ``str``):
 
 Non-canonical input such as ``1+w`` is re-normalized by the addition rules
 rather than rejected.
+
+``Ordinal(...)`` is the one checked entry point, for outside input: an int,
+CNF text, or an iterable of (exponent, coefficient) pairs, whose exponents
+must strictly decrease and whose coefficients must be ints >= 1; anything
+else raises ``OrdinalError``.  Copying an ``Ordinal`` reuses its terms and
+hash.  Terms this module computes are in Cantor normal form by construction,
+so ``pred``, ``+``, ``* n``, ``omega_pow``, ``omega_mul``, ``subtract_left``,
+``quot_rem_omega_pow`` (and ``families._fundamental``) build their results
+with the trusted ``_from_cnf``, which skips the checks.
 """
 
 from __future__ import annotations
@@ -58,22 +67,32 @@ class Ordinal:
 
     def __init__(self, value: Union[OrdinalLike, Iterable[Tuple["Ordinal", int]]] = ()):
         if isinstance(value, Ordinal):
-            terms = value._terms
-        elif isinstance(value, int):
+            _set_terms(self, value._terms)
+            _set_hash(self, value._hash)
+            return
+        if isinstance(value, int):
             if value < 0:
                 raise OrdinalError("ordinals are nonnegative")
             terms = ((ZERO, value),) if value else ()
         elif isinstance(value, str):
             terms = _parse(value)._terms
         else:
-            terms = tuple((Ordinal(e), int(c)) for e, c in value)
+            try:
+                pairs = [(e, c) for e, c in value]
+            except (TypeError, ValueError):
+                raise OrdinalError(
+                    f"not an ordinal, an int, CNF text or (exponent, coefficient) pairs: {value!r}"
+                ) from None
+            if not all(isinstance(c, int) for _, c in pairs):
+                raise OrdinalError("coefficients must be ints")
+            terms = tuple((Ordinal(e), int(c)) for e, c in pairs)
             for (e1, _), (e2, _) in zip(terms, terms[1:]):
                 if not e1 > e2:
                     raise OrdinalError("exponents must strictly decrease")
             if any(c < 1 for _, c in terms):
                 raise OrdinalError("coefficients must be >= 1")
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
+        _set_terms(self, terms)
+        _set_hash(self, hash(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
@@ -118,7 +137,7 @@ class Ordinal:
             raise OrdinalError(f"{self} is not a successor")
         e, c = self._terms[-1]
         rest = self._terms[:-1]
-        return Ordinal(rest + ((e, c - 1),) if c > 1 else rest)
+        return _from_cnf(rest + ((e, c - 1),) if c > 1 else rest)
 
     # -- comparison --------------------------------------------------------
 
@@ -182,8 +201,8 @@ class Ordinal:
         head = self._terms[:keep]
         if order == 0:
             merged = (e, self._terms[keep][1] + other._terms[0][1])
-            return Ordinal(head + (merged,) + other._terms[1:])
-        return Ordinal(head + other._terms)
+            return _from_cnf(head + (merged,) + other._terms[1:])
+        return _from_cnf(head + other._terms)
 
     def __radd__(self, other) -> "Ordinal":
         other = _coerce(other)
@@ -198,7 +217,7 @@ class Ordinal:
         if n == 0 or not self._terms:
             return ZERO
         e, c = self._terms[0]
-        return Ordinal(((e, c * n),) + self._terms[1:])
+        return _from_cnf(((e, c * n),) + self._terms[1:])
 
     # -- text --------------------------------------------------------------
 
@@ -216,6 +235,21 @@ class Ordinal:
 
     def __repr__(self) -> str:
         return f"Ordinal({str(self)!r})"
+
+
+# The slot descriptors write past the immutable __setattr__, a little faster
+# than object.__setattr__.
+_set_terms = Ordinal._terms.__set__
+_set_hash = Ordinal._hash.__set__
+
+
+def _from_cnf(terms: Tuple[Tuple[Ordinal, int], ...]) -> Ordinal:
+    """Trusted builder: ``terms`` must already be a CNF term tuple (Ordinal
+    exponents strictly decreasing, int coefficients >= 1).  Nothing is checked."""
+    value = object.__new__(Ordinal)
+    _set_terms(value, terms)
+    _set_hash(value, hash(terms))
+    return value
 
 
 def _coerce(value) -> "Ordinal | None":
@@ -237,13 +271,13 @@ def compare(a: OrdinalLike, b: OrdinalLike) -> int:
 
 def omega_pow(x: OrdinalLike) -> Ordinal:
     """omega raised to the ordinal x; omega_pow(0) == 1."""
-    return Ordinal(((Ordinal(x), 1),))
+    return _from_cnf(((Ordinal(x), 1),))
 
 
 def omega_mul(a: OrdinalLike) -> Ordinal:
     """Left multiplication omega * a, via the exponent shift e -> 1 + e."""
     a = Ordinal(a)
-    return Ordinal(tuple((ONE + e, c) for e, c in a.terms))
+    return _from_cnf(tuple((ONE + e, c) for e, c in a.terms))
 
 
 def subtract_left(g: OrdinalLike, b: OrdinalLike) -> Ordinal:
@@ -255,13 +289,13 @@ def subtract_left(g: OrdinalLike, b: OrdinalLike) -> Ordinal:
             continue
         (eg, cg), (eb, cb) = tg, tb
         if eg == eb and cg < cb:
-            return Ordinal(((eb, cb - cg),) + bt[i + 1:])
+            return _from_cnf(((eb, cb - cg),) + bt[i + 1:])
         if eg < eb:
-            return Ordinal(bt[i:])
+            return _from_cnf(bt[i:])
         raise OrdinalError(f"{g} > {b}: no left difference")
     if len(gt) > len(bt):
         raise OrdinalError(f"{g} > {b}: no left difference")
-    return Ordinal(bt[len(gt):])
+    return _from_cnf(bt[len(gt):])
 
 
 def quot_rem_omega_pow(
@@ -283,7 +317,7 @@ def quot_rem_omega_pow(
         else:
             split = i
             break
-    q, r = Ordinal(high), Ordinal(a.terms[split:])
+    q, r = _from_cnf(tuple(high)), _from_cnf(a.terms[split:])
     if not remainder_in_half_open_above:
         return q, r
     if a.is_zero:

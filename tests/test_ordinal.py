@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import ordinals
 from oracles import mul_by_repeated_add
+from ordgames.families import _fundamental
 from ordgames.ordinal import (
     OMEGA,
     ONE,
@@ -53,6 +54,45 @@ class TestParse:
     @given(ordinals(height=3))
     def test_round_trip(self, a):
         assert Ordinal(str(a)) == a
+
+
+class TestCheckedConstructor:
+    def test_accepts_int_text_and_ordinal_exponents(self):
+        a = Ordinal([("w", 3), (2, 1), (ZERO, 4)])
+        assert a == Ordinal("w^w*3+w^2+4")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(ONE, 1), (ONE, 2)],
+            [(ZERO, 1), (ONE, 1)],
+            [(ONE, 0)],
+            [(ONE, -2)],
+            [(ONE, 2.5)],
+            [(ONE, "3")],
+            2.0,
+            None,
+            [(ONE,)],
+            [([(ONE, 0)], 1)],
+            [([(ONE, 2.5)], 1)],
+        ],
+        ids=[
+            "equal-exponents",
+            "increasing-exponents",
+            "zero-coefficient",
+            "negative-coefficient",
+            "float-coefficient",
+            "str-coefficient",
+            "float-value",
+            "none-value",
+            "one-element-term",
+            "nested-zero-coefficient",
+            "nested-float-coefficient",
+        ],
+    )
+    def test_rejects(self, bad):
+        with pytest.raises(OrdinalError):
+            Ordinal(bad)
 
 
 class TestCompare:
@@ -227,3 +267,48 @@ class TestHashing:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             OMEGA.terms = ()
+
+
+def _rebuilt(a):
+    """``a`` rebuilt through the checked constructor, exponents first."""
+    return Ordinal([(_rebuilt(e), c) for e, c in a.terms])
+
+
+class TestTrustedConstruction:
+    """Results built without the checks are canonical: the checked
+    constructor accepts their terms and gives an equal, equally hashed value."""
+
+    @staticmethod
+    def _assert_canonical(a):
+        b = _rebuilt(a)
+        assert b == a
+        assert hash(b) == hash(a)
+
+    @given(ordinals(height=3), ordinals(height=3), st.integers(0, 4))
+    def test_results_are_canonical(self, a, b, n):
+        lo, hi = sorted([a, b])
+        results = [a + b, b + a, a * n, omega_pow(a), omega_mul(a)]
+        results += [subtract_left(lo, hi), subtract_left(a, a + b)]
+        results += quot_rem_omega_pow(a, b)
+        try:
+            results += quot_rem_omega_pow(a, b, remainder_in_half_open_above=True)
+        except OrdinalError:
+            pass
+        if a.is_successor:
+            results.append(a.pred())
+        for beta in (b + 1, omega_mul(b + 1)):
+            results.append(_fundamental(a + omega_pow(beta) * (n + 1), n))
+        for r in results:
+            self._assert_canonical(r)
+
+    @given(ordinals(height=3))
+    def test_copy_shares_terms_and_hash(self, a):
+        b = Ordinal(a)
+        assert b == a
+        assert hash(b) == hash(a)
+        assert b.terms is a.terms
+        with pytest.raises(AttributeError):
+            b._terms = ()
+        with pytest.raises(AttributeError):
+            b._hash = 0
+        assert b == a
