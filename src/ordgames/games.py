@@ -22,6 +22,15 @@ backward induction on an explicit stack over (node, partial sums) positions
 history-keyed strategy out by walking the plays it reaches.  Tie-breaks are
 deterministic (lexicographically least move), so solver output is
 reproducible byte for byte.
+
+Each game numbers its tree nodes once, in a node arena: id 0 is the virtual
+root, and per id it keeps the node's children as {label: child id} in sorted
+label order, its last label and its integer weight.  The solver, the scorer,
+the playout walk, verification, extraction, substrategy completion and
+single-leaf scoring move through node ids, so no walk hashes a path of
+``Ordinal`` labels to find a child, a weight or whether a node is maximal.
+Histories of labels remain only where the output needs them: the keys of
+``Strategy.moves`` and of ``ExtractedCollections``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, path_to_text
 from .families import TruncationBudget, gamma_family
@@ -181,13 +190,17 @@ class ModelSpace:
 class GameSpec:
     """A game: tree, move alphabets, node weights and a payoff set.
 
-    Built once, for the szlenk payoff on integers: the node weights times Dw
-    and the gains table's peaks times Dp (Dw and Dp the lcms of their
-    denominators), and ``_bar``, the least sum that reaches epsilon * Dw * Dp.
+    Built once: the node arena, which numbers the tree's nodes (0 is the
+    virtual root) and holds per id ``_kids``, the node's ``{label: child id}``
+    in sorted label order (empty at a maximal node), and ``_labels``, its last
+    label; and for the szlenk payoff on integers, per id ``_int_weights``, the
+    node weight times Dw, the gains table's peaks times Dp (Dw and Dp the lcms
+    of their denominators), and ``_bar``, the least sum that reaches
+    epsilon * Dw * Dp.
     """
 
     _FIELDS = ("tree", "model", "weights", "payoff")
-    __slots__ = _FIELDS + ("_int_weights", "_int_peaks", "_bar")
+    __slots__ = _FIELDS + ("_kids", "_labels", "_int_weights", "_int_peaks", "_bar")
 
     def __init__(
         self,
@@ -224,7 +237,20 @@ class GameSpec:
             tuple(None if ps is None else tuple(int(p * dp) for p, _ in ps) for _, ps in row)
             for row in gains
         )
-        object.__setattr__(self, "_int_weights", {k: int(w * dw) for k, w in weights.items()})
+        # the node arena: id 0 is the virtual root, the other ids follow
+        # breadth-first in sorted label order
+        index = tree._child_index()
+        paths: List[NodePath] = [()]
+        kids: List[Dict[Ordinal, int]] = []
+        while len(kids) < len(paths):
+            path = paths[len(kids)]
+            found = index.get(path, ())
+            kids.append(dict(zip(found, range(len(paths), len(paths) + len(found)))))
+            paths.extend(path + (zeta,) for zeta in found)
+        nodes = paths[1:]
+        object.__setattr__(self, "_kids", tuple(kids))
+        object.__setattr__(self, "_labels", (None,) + tuple(path[-1] for path in nodes))
+        object.__setattr__(self, "_int_weights", (0,) + tuple(int(weights[p] * dw) for p in nodes))
         object.__setattr__(self, "_int_peaks", int_peaks)
         object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
 
@@ -284,14 +310,16 @@ class ExtractedCollections(NamedTuple):
 def _scorer(game: GameSpec):
     """(root state, step, ii_wins): the payoff of a play, scored move by move.
 
-    ``step(state, child, zi, ci)`` is the state after the move (child[-1],
-    zi, ci); ``ii_wins`` judges a maximal history's state.  Under a table
-    payoff the state is the history; under the szlenk payoff, the partial
-    sums times Dw * Dp, or None once a reply's selection set is empty.  Each
-    factor peaks on its own for a fixed x*, as the weights are nonnegative.
+    ``step(state, child, zi, ci)`` is the state after the move to the node
+    with arena id ``child`` with subspace zi and compact ci; ``ii_wins``
+    judges a maximal history's state.  Under a table payoff the state is the
+    history; under the szlenk payoff, the partial sums times Dw * Dp, or None
+    once a reply's selection set is empty.  Each factor peaks on its own for
+    a fixed x*, as the weights are nonnegative.
     """
     if game.payoff != PAYOFF_SZLENK:
-        return (), lambda h, child, zi, ci: h + ((child[-1], zi, ci),), game.payoff.__contains__
+        labels = game._labels
+        return (), lambda h, child, zi, ci: h + ((labels[child], zi, ci),), game.payoff.__contains__
     weights, peaks, bar = game._int_weights, game._int_peaks, game._bar
 
     def step(sums, child, zi, ci):
@@ -307,6 +335,16 @@ def _scorer(game: GameSpec):
     return (0,) * len(game.model.functionals), step, ii_wins
 
 
+def _node_id(game: GameSpec, path: NodePath) -> Optional[int]:
+    """The arena id of ``path`` (0 for the empty path), or None off the tree."""
+    node = 0
+    for label in path:
+        node = game._kids[node].get(label)
+        if node is None:
+            return None
+    return node
+
+
 def _legal_indices(model: ModelSpace, history: History) -> bool:
     return all(
         0 <= z < len(model.subspaces) and 0 <= c < len(model.compacts) for _, z, c in history
@@ -317,25 +355,20 @@ def eval_payoff(game: GameSpec, leaf: History) -> bool:
     """Does the terminal history belong to the payoff set?"""
     leaf = tuple(tuple(m) for m in leaf)
     node = _zproj(leaf)
-    if node not in game.tree or not game.tree.is_max(node):
+    last = _node_id(game, node)
+    if last is None or game._kids[last]:
         raise ValueError(f"{path_to_text(node)} is not maximal")
     if not _legal_indices(game.model, leaf):
         raise ValueError("leaf uses an illegal move index")
     state, step, ii_wins = _scorer(game)
-    for i, (_, zi, ci) in enumerate(leaf, 1):
-        state = step(state, node[:i], zi, ci)
+    child = 0
+    for label, zi, ci in leaf:
+        child = game._kids[child][label]
+        state = step(state, child, zi, ci)
     return ii_wins(state)
 
 
 # -- solving -----------------------------------------------------------------
-
-
-def _offers(game: GameSpec, node: NodePath) -> List[Offer]:
-    return [
-        (zeta, zi)
-        for zeta in game.tree.children_labels(node)
-        for zi in range(game.n_subspaces)
-    ]
 
 
 def solve(game: GameSpec) -> Tuple[str, Strategy]:
@@ -344,37 +377,37 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     Player I wins at a position iff some offer (label, subspace) leaves
     every compact reply losing for II; the returned strategy follows the
     lexicographically least such offer, and for II the least winning reply.
-    A position is the tree node with the partial sums s_f under the szlenk
-    payoff (None once a reply's selection set is empty: no leaf below it
-    wins for II), and the node with the whole history under a table payoff.
+    A position is the tree node's arena id with the partial sums s_f under
+    the szlenk payoff (None once a reply's selection set is empty: no leaf
+    below it wins for II), and with the whole history under a table payoff.
     Each position is decided once, on an explicit stack; the strategy then
     prescribes a move at every history its own plays reach.
     """
-    tree = game.tree
-    n_compacts = game.n_compacts
+    kids, labels = game._kids, game._labels
+    n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
     root, step, ii_wins = _scorer(game)
 
-    def decide(node: NodePath, state):
+    def decide(node: int, state):
         # yields each non-terminal child position it needs decided and is
-        # sent back whether I wins there; returns (True, least winning offer)
-        # or (False, least winning reply for each offer in order)
+        # sent back whether I wins there; returns (True, least winning offer
+        # as (child id, subspace)) or (False, least winning reply for each
+        # offer in order)
         replies = []
-        for offer in _offers(game, node):
-            zeta, zi = offer
-            child = node + (zeta,)
-            terminal = tree.is_max(child)
-            for ci in range(n_compacts):
-                after = step(state, child, zi, ci)
-                i_won = not ii_wins(after) if terminal else (yield child, after)
-                if not i_won:
-                    replies.append(ci)
-                    break
-            else:
-                return True, offer
+        for child in kids[node].values():
+            terminal = not kids[child]
+            for zi in range(n_subspaces):
+                for ci in range(n_compacts):
+                    after = step(state, child, zi, ci)
+                    i_won = not ii_wins(after) if terminal else (yield child, after)
+                    if not i_won:
+                        replies.append(ci)
+                        break
+                else:
+                    return True, (child, zi)
         return False, replies
 
     decided: Dict[tuple, tuple] = {}
-    stack = [(((), root), decide((), root))]
+    stack = [((0, root), decide(0, root))]
     sent = None
     while stack:
         position, search = stack[-1]
@@ -391,23 +424,25 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
             stack.append((child, decide(*child)))
             sent = None
 
-    i_wins = decided[((), root)][0]
+    i_wins = decided[(0, root)][0]
     moves: dict = {}
-    plays: List[Tuple[History, NodePath, object]] = [((), (), root)]
+    plays: List[Tuple[History, int, object]] = [((), 0, root)]
     while plays:
         history, node, state = plays.pop()
         choice = decided[(node, state)][1]
         if i_wins:
-            moves[history] = choice
-            branches = [(choice, ci) for ci in range(n_compacts)]
+            child, zi = choice
+            moves[history] = (labels[child], zi)
+            branches = [(child, zi, ci) for ci in range(n_compacts)]
         else:
-            branches = list(zip(_offers(game, node), choice))
-            for offer, ci in branches:
-                moves[(history, offer)] = ci
-        for (zeta, zi), ci in branches:
-            child = node + (zeta,)
-            if not tree.is_max(child):
-                plays.append((history + ((zeta, zi, ci),), child, step(state, child, zi, ci)))
+            offers = [(child, zi) for child in kids[node].values() for zi in range(n_subspaces)]
+            branches = [offer + (ci,) for offer, ci in zip(offers, choice)]
+            for child, zi, ci in branches:
+                moves[(history, (labels[child], zi))] = ci
+        for child, zi, ci in branches:
+            if kids[child]:
+                move = (labels[child], zi, ci)
+                plays.append((history + (move,), child, step(state, child, zi, ci)))
     winner = "I" if i_wins else "II"
     return winner, Strategy(winner, moves)
 
@@ -421,37 +456,41 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     a (history, offer) pair for Player II, and ``state`` is the history's.
     ``move`` is None when the prescription is missing or illegal, and the
     walk does not go below it.  Yields ``(None, leaf, state)`` at each
-    maximal history.
+    maximal history.  A Player-I label is legal iff the current node's
+    {label: child id} finds it, by hash and equality as the tree's node set
+    would: an int equal to a label is not one.
     """
-    tree = game.tree
+    kids = game._kids
     n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
-    stack: List[Tuple[History, NodePath, object]] = [((), (), root)]
+    stack: List[Tuple[History, int, object]] = [((), 0, root)]
     while stack:
         history, node, state = stack.pop()
         if strategy.player == "I":
             move = strategy.moves.get(history)
-            if move is None or node + (move[0],) not in tree or not 0 <= move[1] < n_subspaces:
+            child = None if move is None else kids[node].get(move[0])
+            if child is None or not 0 <= move[1] < n_subspaces:
                 yield history, None, state
                 continue
             yield history, move, state
             zeta, zi = move
-            branches = [(zeta, zi, ci) for ci in range(n_compacts)]
+            branches = [(child, (zeta, zi, ci)) for ci in range(n_compacts)]
         else:
             branches = []
-            for offer in _offers(game, node):
-                ci = strategy.moves.get((history, offer))
-                if ci is None or not 0 <= ci < n_compacts:
-                    yield (history, offer), None, state
-                    continue
-                yield (history, offer), ci, state
-                branches.append(offer + (ci,))
-        for move in branches:
-            child = node + (move[0],)
+            for zeta, child in kids[node].items():
+                for zi in range(n_subspaces):
+                    offer = (zeta, zi)
+                    ci = strategy.moves.get((history, offer))
+                    if ci is None or not 0 <= ci < n_compacts:
+                        yield (history, offer), None, state
+                        continue
+                    yield (history, offer), ci, state
+                    branches.append((child, (zeta, zi, ci)))
+        for child, move in branches:
             after = step(state, child, move[1], move[2])
-            if tree.is_max(child):
-                yield None, history + (move,), after
-            else:
+            if kids[child]:
                 stack.append((history + (move,), child, after))
+            else:
+                yield None, history + (move,), after
 
 
 def verify_strategy(game: GameSpec, strategy: Strategy) -> bool:
@@ -508,7 +547,7 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
     """
     if sub.player != "I":
         raise ValueError("substrategy completion is for Player I")
-    tree = game.tree
+    kids = game._kids
     if not 0 <= fallback_z < game.n_subspaces:
         raise ValueError("fallback subspace index out of range")
     moves = {tuple(k): tuple(v) for k, v in sub.moves.items()}
@@ -516,21 +555,18 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
     if first is None:
         raise ValueError("substrategy must prescribe the empty position")
     zeta0, z0 = first
-    if (zeta0,) not in tree:
+    if zeta0 not in kids[0]:
         raise ValueError("first move label is not a root of the tree")
     if not 0 <= z0 < game.n_subspaces:
         raise ValueError("first move subspace index out of range")
     for history, (zeta, zi) in moves.items():
-        node = _zproj(history)
+        node = _node_id(game, _zproj(history))
         if history:
-            if node not in tree or tree.is_max(node):
+            if node is None or not kids[node]:
                 raise ValueError("substrategy domain leaves the non-maximal tree")
-            if not all(
-                0 <= z < game.n_subspaces and 0 <= c < game.n_compacts
-                for _, z, c in history
-            ):
+            if not _legal_indices(game.model, history):
                 raise ValueError("substrategy domain uses an illegal move index")
-        if node + (zeta,) not in tree or not 0 <= zi < game.n_subspaces:
+        if zeta not in kids[node] or not 0 <= zi < game.n_subspaces:
             raise ValueError("substrategy prescribes an illegal move")
     # every position reachable by following the substrategy must be covered
     root, step, _ = _scorer(game)
@@ -539,14 +575,13 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
         raise ValueError("substrategy is undefined at a reachable position")
 
     total: Dict[History, Offer] = {}
-    stack: List[Tuple[History, NodePath]] = [((), ())]
+    stack: List[Tuple[History, int]] = [((), 0)]
     while stack:
         history, node = stack.pop()
-        labels = tree.children_labels(node)
-        total[history] = moves.get(history, (labels[0], fallback_z))
-        for zeta in labels:
-            child = node + (zeta,)
-            if tree.is_max(child):
+        children = kids[node]
+        total[history] = moves.get(history, (next(iter(children)), fallback_z))
+        for zeta, child in children.items():
+            if not kids[child]:
                 continue
             for zi in range(game.n_subspaces):
                 for ci in range(game.n_compacts):
@@ -575,13 +610,14 @@ def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollecti
         raise ValueError("collection extraction needs a strategy for Player II")
     gains, xstars = game.model._gains, game.model.functionals
     by_vector = sorted(range(len(xstars)), key=xstars.__getitem__)
+    labels = game._labels
     root, step, ii_wins = _scorer(game)
 
     def step_with_prefixes(state, child, zi, ci):
         # the partial sums, and the (label, subspace) prefixes of the history,
         # the empty one first, shared with every history below it
         sums, prefixes = state
-        return step(sums, child, zi, ci), prefixes + (prefixes[-1] + ((child[-1], zi),),)
+        return step(sums, child, zi, ci), prefixes + (prefixes[-1] + ((labels[child], zi),),)
 
     compact_choices: Dict[ZDHistory, int] = {}
     functionals: Dict[ZDHistory, Vector] = {}

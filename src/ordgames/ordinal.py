@@ -17,9 +17,10 @@ rather than rejected.
 ``Ordinal(...)`` is the one checked entry point, for outside input: an int,
 CNF text, or an iterable of (exponent, coefficient) pairs, whose exponents
 must strictly decrease and whose coefficients must be ints >= 1; anything
-else raises ``OrdinalError``.  Copying an ``Ordinal`` reuses its terms and
-hash.  Terms this module computes are in Cantor normal form by construction,
-so ``pred``, ``+``, ``* n``, ``omega_pow``, ``omega_mul``, ``subtract_left``,
+else, a bool among it, raises ``OrdinalError``.  Comparisons coerce ints
+but not bools.  Copying an ``Ordinal`` reuses its terms and hash.  Terms
+this module computes are in Cantor normal form by construction, so
+``pred``, ``+``, ``* n``, ``omega_pow``, ``omega_mul``, ``subtract_left``,
 ``quot_rem_omega_pow`` (and ``families._fundamental``) build their results
 with the trusted ``_from_cnf``, which skips the checks.
 """
@@ -70,7 +71,7 @@ class Ordinal:
             _set_terms(self, value._terms)
             _set_hash(self, value._hash)
             return
-        if isinstance(value, int):
+        if _is_int(value):
             if value < 0:
                 raise OrdinalError("ordinals are nonnegative")
             terms = ((ZERO, value),) if value else ()
@@ -83,7 +84,7 @@ class Ordinal:
                 raise OrdinalError(
                     f"not an ordinal, an int, CNF text or (exponent, coefficient) pairs: {value!r}"
                 ) from None
-            if not all(isinstance(c, int) for _, c in pairs):
+            if not all(_is_int(c) for _, c in pairs):
                 raise OrdinalError("coefficients must be ints")
             terms = tuple((Ordinal(e), int(c)) for e, c in pairs)
             for (e1, _), (e2, _) in zip(terms, terms[1:]):
@@ -142,6 +143,8 @@ class Ordinal:
     # -- comparison --------------------------------------------------------
 
     def _cmp(self, other: "Ordinal") -> int:
+        if self is other:
+            return 0
         for (e1, c1), (e2, c2) in zip(self._terms, other._terms):
             c = e1._cmp(e2)
             if c:
@@ -151,13 +154,15 @@ class Ordinal:
         n1, n2 = len(self._terms), len(other._terms)
         return 0 if n1 == n2 else (-1 if n1 < n2 else 1)
 
+    # Python's default __ne__ negates this
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        return NotImplemented if other is None else self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        other = _coerce(other)
-        return NotImplemented if other is None else self._terms != other._terms
+        if self is other:
+            return True
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._hash == other._hash and self._terms == other._terms
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
@@ -252,10 +257,14 @@ def _from_cnf(terms: Tuple[Tuple[Ordinal, int], ...]) -> Ordinal:
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(value) -> "Ordinal | None":
     if isinstance(value, Ordinal):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Ordinal(value)
     return None
 

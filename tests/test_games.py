@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     maximal_histories,
@@ -26,6 +28,7 @@ from ordgames.games import (
     Strategy,
     brute_force_winner,
     build_szlenk_game,
+    collections_to_json,
     complete_substrategy,
     eval_payoff,
     extract_collections,
@@ -351,6 +354,30 @@ class TestVerifyStrategy:
         game = single_node_game(payoff=frozenset())
         assert not verify_strategy(game, Strategy("I", {(): (Ordinal(9), 0)}))
         assert not verify_strategy(game, Strategy("I", {(): (ONE, 5)}))
+        # an int equals the Ordinal label, but is not a label of the tree
+        assert not verify_strategy(game, Strategy("I", {(): (1, 0)}))
+        assert verify_strategy(game, Strategy("I", {(): (ONE, 0)}))
+
+    LEGAL_CHAIN = {(): (ONE, 0), ((ONE, 0, 0),): (Ordinal(2), 0)}
+
+    @pytest.mark.parametrize(
+        "moves",
+        [
+            {(): (1, 0), ((1, 0, 0),): (Ordinal(2), 0)},
+            {(): (Ordinal(2), 0)},
+            {**LEGAL_CHAIN, ((ONE, 0, 0),): (Ordinal(3), 0)},
+            {**LEGAL_CHAIN, ((ONE, 0, 0),): (2, 0)},
+        ],
+        ids=["int-root-label", "deeper-label-at-root", "root-label-below-1", "int-child-label"],
+    )
+    def test_label_must_be_a_child_of_the_node(self, moves):
+        # roots 1 and 3, and 2 only below 1; I wins every play of this game
+        tree = FiniteBTree.closure([P("1,2"), P("3")])
+        game = GameSpec(tree, whole_space_model(), dict.fromkeys(tree.nodes, HALF), frozenset())
+        assert verify_strategy(game, Strategy("I", self.LEGAL_CHAIN))
+        assert not verify_strategy(game, Strategy("I", moves))
+        with pytest.raises(ValueError):
+            complete_substrategy(game, Strategy("I", moves), 0)
 
     @staticmethod
     def flip_one_move(game, strategy, rng):
@@ -738,3 +765,28 @@ class TestDeepChain:
         assert len(collections.compact_choices) == len(collections.selections) == depth
         assert total.moves == sub.moves
         assert solved == ("II", psi)
+
+
+class TestOutputIndependentOfObjects:
+    @staticmethod
+    def outputs(game):
+        winner, strategy = solve(game)
+        texts = [winner, json.dumps(strategy_to_json(strategy)), verify_strategy(game, strategy)]
+        if winner == "II" and game.payoff == PAYOFF_SZLENK:
+            texts.append(json.dumps(collections_to_json(extract_collections(game, strategy))))
+        return texts, strategy
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_json_round_trip_gives_identical_output(self, rng):
+        # the copy has fresh Ordinal labels and its own node set order; the
+        # solver's internal node numbering must not show in any output
+        game = random_game(rng)
+        copy = game_from_json(json.loads(json.dumps(game_to_json(game))))
+        texts, strategy = self.outputs(game)
+        copy_texts, copy_strategy = self.outputs(copy)
+        assert texts == copy_texts
+        assert verify_strategy(game, copy_strategy) and verify_strategy(copy, strategy)
+        want_winner, want = product_tree_strategy(copy)
+        assert (strategy.player, strategy.moves) == (want_winner, want.moves)
+        assert brute_force_winner(copy) == strategy.player

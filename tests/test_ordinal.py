@@ -53,7 +53,8 @@ class TestParse:
 
     @given(ordinals(height=3))
     def test_round_trip(self, a):
-        assert Ordinal(str(a)) == a
+        # a fresh object, equal to a but not a itself
+        assert Ordinal(str(a)) == a and not Ordinal(str(a)) != a
 
 
 class TestCheckedConstructor:
@@ -75,6 +76,8 @@ class TestCheckedConstructor:
             [(ONE,)],
             [([(ONE, 0)], 1)],
             [([(ONE, 2.5)], 1)],
+            True,
+            [(ZERO, True)],
         ],
         ids=[
             "equal-exponents",
@@ -88,6 +91,8 @@ class TestCheckedConstructor:
             "one-element-term",
             "nested-zero-coefficient",
             "nested-float-coefficient",
+            "bool-value",
+            "bool-coefficient",
         ],
     )
     def test_rejects(self, bad):
@@ -105,10 +110,19 @@ class TestCompare:
         assert Ordinal(3) < 5
         assert OMEGA > 10**9
         assert Ordinal(4) == 4
+        assert 4 == Ordinal(4) != 5
+        assert ZERO == 0 and not ZERO != 0
+
+    def test_bool_is_not_an_int(self):
+        assert ONE != True  # noqa: E712
+        assert not ONE == True  # noqa: E712
+        with pytest.raises(TypeError):
+            ONE < True
 
     @given(ordinals(), ordinals())
     def test_total_order(self, a, b):
         assert (a < b) + (a == b) + (a > b) == 1
+        assert (a != b) is not (a == b)
 
 
 class TestAdd:
