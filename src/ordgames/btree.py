@@ -12,6 +12,7 @@ rank of a node is the last derivation stage it survives.
 from __future__ import annotations
 
 import json
+from functools import cache
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .ordinal import Ordinal
@@ -30,6 +31,11 @@ def path_from_text(text: str) -> NodePath:
 
 def path_to_text(path: NodePath) -> str:
     return ",".join(str(label) for label in path)
+
+
+def _frac_text(x) -> str:
+    """A Fraction as exact text, p/q: the form every layer prints rationals in."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 class FiniteBTree:
@@ -167,7 +173,8 @@ class FiniteBTree:
             isinstance(t, list) and all(type(label) in (str, int) for label in t) for t in nodes
         ):
             raise ValueError('"nodes" must be a list of label lists')
-        return cls(tuple(Ordinal(label) for label in t) for t in nodes)
+        label = cache(Ordinal)  # each distinct label parsed once
+        return cls(tuple(map(label, t)) for t in nodes)
 
 
 def verify_monotone_map(

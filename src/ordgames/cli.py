@@ -10,13 +10,11 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 
-from . import games
-from .btree import FiniteBTree, path_from_text, path_to_text
-from .derivation import cb_index, cb_stage, cb_step, dz_bound
-from .families import TruncationBudget, budget_from_json, make_family, monotone_embedding
 from .ordinal import Ordinal, compare, omega_pow, quot_rem_omega_pow
+
+# Each verb group imports the layers it uses when it runs, so that a process
+# loads no more of the package than its verb needs.
 
 
 def _read_json(path: str):
@@ -30,7 +28,8 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _budget(args) -> TruncationBudget:
+def _budget(args):
+    from .families import TruncationBudget, budget_from_json
     if args.budget is not None:
         return budget_from_json(args.budget)
     return TruncationBudget(max_n=args.max_n, max_depth=args.max_depth)
@@ -150,6 +149,7 @@ def _run_ord(args) -> None:
 
 
 def _run_tree(args) -> None:
+    from .btree import FiniteBTree, path_from_text
     tree = FiniteBTree.from_json(_read_json(args.file))
     if args.verb == "validate":
         print("true" if tree.validate() else "false")
@@ -165,6 +165,8 @@ def _run_tree(args) -> None:
 
 
 def _run_family(args) -> None:
+    from .btree import _frac_text, path_from_text, path_to_text
+    from .families import make_family, monotone_embedding
     if args.verb == "embed":
         phi = monotone_embedding(Ordinal(args.xi), Ordinal(args.gamma))
         print(path_to_text(phi(path_from_text(args.path))))
@@ -177,7 +179,7 @@ def _run_family(args) -> None:
     elif args.verb == "weight":
         if args.kind != "Gamma":
             raise ValueError("weights are defined on the Gamma family only")
-        print(games._frac_text(family.weight(path_from_text(args.path))))
+        print(_frac_text(family.weight(path_from_text(args.path))))
     elif args.verb == "rank":
         print(family.rank(path_from_text(args.path)))
     elif args.verb == "children":
@@ -192,15 +194,16 @@ def _run_family(args) -> None:
         for branch in stream:
             if args.kind == "Gamma":
                 weights = family.prefix_weights(branch)
-                columns = [path_to_text(branch), ",".join(games._frac_text(w) for w in weights)]
+                columns = [path_to_text(branch), ",".join(_frac_text(w) for w in weights)]
                 if args.sum:
-                    columns.append(games._frac_text(sum(weights, Fraction(0))))
+                    columns.append(_frac_text(sum(weights)))
                 print("\t".join(columns))
             else:
                 print(path_to_text(branch))
 
 
 def _run_cb(args) -> None:
+    from .derivation import cb_index, cb_stage, cb_step
     if args.verb == "step":
         print(cb_step(Ordinal(args.a)))
     elif args.verb == "stage":
@@ -210,6 +213,7 @@ def _run_cb(args) -> None:
 
 
 def _run_game(args) -> None:
+    from . import games
     if args.verb == "build":
         model = games.model_from_json(_read_json(args.model))
         game = games.build_szlenk_game(Ordinal(args.xi), _budget(args), model)
@@ -245,6 +249,7 @@ def run(argv=None) -> int:
         elif args.group == "cb":
             _run_cb(args)
         elif args.group == "bound":
+            from .derivation import dz_bound
             print(dz_bound(Ordinal(args.sz)))
         else:
             _run_game(args)

@@ -16,7 +16,6 @@ which is why limit stages need the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import AbstractSet, Callable, FrozenSet, Hashable, Union
 
@@ -68,16 +67,34 @@ class Infinity:
 INFINITY = Infinity()
 
 
-@dataclass(frozen=True)
 class DerivationSystem:
     """A contractive step function on subsets of a finite ground set.
 
     The step must satisfy step(S) subset-of S; this is checked at each
-    application since the callable itself cannot be inspected.
+    application since the callable itself cannot be inspected.  Immutable.
     """
 
+    __slots__ = ("ground", "step")
     ground: FrozenSet[Hashable]
     step: Callable[[FrozenSet[Hashable]], AbstractSet[Hashable]]
+
+    def __init__(self, ground, step):
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "step", step)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DerivationSystem is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.ground, self.step) == (other.ground, other.step)
+
+    def __hash__(self):
+        return hash((self.ground, self.step))
+
+    def __repr__(self):
+        return f"DerivationSystem(ground={self.ground!r}, step={self.step!r})"
 
 
 def derivation_index(

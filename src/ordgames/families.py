@@ -32,7 +32,6 @@ recur across paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -54,23 +53,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+_MAX_DEPTH = 512  # the default safety cap on path length
+
+
 class TruncationBudget:
     """Caps for enumerating infinitely branching points.
 
     ``max_n`` bounds how many of the infinitely many one-step choices are
     taken (in increasing order along the canonical cofinal sequence at limit
-    stages); ``max_depth`` is a safety cap on path length.
+    stages); ``max_depth`` is a safety cap on path length.  Immutable.
     """
 
-    max_n: int
-    max_depth: int = 512
+    __slots__ = ("max_n", "max_depth")
 
-    def __post_init__(self):
-        if self.max_n < 1:
+    def __init__(self, max_n: int, max_depth: int = _MAX_DEPTH):
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "max_depth", max_depth)
+        if max_n < 1:
             raise ValueError("max_n must be >= 1")
-        if self.max_depth < 1:
+        if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TruncationBudget is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.max_n, self.max_depth) == (other.max_n, other.max_depth)
+
+    def __hash__(self):
+        return hash((self.max_n, self.max_depth))
+
+    def __repr__(self):
+        return f"TruncationBudget(max_n={self.max_n!r}, max_depth={self.max_depth!r})"
 
 
 def _fundamental(lam: Ordinal, k: int) -> Ordinal:
@@ -354,7 +370,7 @@ def budget_from_json(data: Union[dict, str]) -> TruncationBudget:
         data = json.loads(data)
     if not isinstance(data, dict):
         raise ValueError("a budget must be a JSON object")
-    max_n, max_depth = data["max_n"], data.get("max_depth", TruncationBudget.max_depth)
+    max_n, max_depth = data["max_n"], data.get("max_depth", _MAX_DEPTH)
     if type(max_n) is not int or type(max_depth) is not int:
         raise ValueError("budget max_n and max_depth must be integers")
     return TruncationBudget(max_n=max_n, max_depth=max_depth)

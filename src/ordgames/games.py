@@ -37,13 +37,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
+from functools import cache
+from operator import itemgetter
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
+)
 
-from .btree import FiniteBTree, NodePath, path_to_text
-from .families import TruncationBudget, gamma_family
+from .btree import FiniteBTree, NodePath, _frac_text, path_to_text
 from .ordinal import Ordinal
+
+if TYPE_CHECKING:
+    from .families import TruncationBudget
 
 __all__ = [
     "ModelSpace",
@@ -274,21 +279,29 @@ class GameSpec:
         return [self.weights[node[: i + 1]] for i in range(len(node))]
 
 
-@dataclass
 class Strategy:
     """A decision rule for one player.
 
     For Player I, ``moves`` maps histories (after II's reply, or the empty
     history) to (label, subspace index).  For Player II it maps pairs
     (history, offered (label, subspace index)) to a compact index.
+    Mutable, so unhashable.
     """
 
-    player: str
-    moves: dict
+    __slots__ = ("player", "moves")
 
-    def __post_init__(self):
-        if self.player not in ("I", "II"):
-            raise ValueError(f"unknown player {self.player!r}")
+    def __init__(self, player: str, moves: dict):
+        self.player, self.moves = player, moves
+        if player not in ("I", "II"):
+            raise ValueError(f"unknown player {player!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.player, self.moves) == (other.player, other.moves)
+
+    def __repr__(self):
+        return f"Strategy(player={self.player!r}, moves={self.moves!r})"
 
 
 class ExtractedCollections(NamedTuple):
@@ -454,7 +467,8 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     ``step`` at each move, as ``_scorer`` gives.  Yields ``(key, move,
     state)`` at each prescription met: ``key`` is a history for Player I and
     a (history, offer) pair for Player II, and ``state`` is the history's.
-    ``move`` is None when the prescription is missing or illegal, and the
+    ``move`` is None when the prescription is missing, illegal or not of a
+    move's shape (an int index; a (label, index) pair for Player I), and the
     walk does not go below it.  Yields ``(None, leaf, state)`` at each
     maximal history.  A Player-I label is legal iff the current node's
     {label: child id} finds it, by hash and equality as the tree's node set
@@ -467,12 +481,15 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
         history, node, state = stack.pop()
         if strategy.player == "I":
             move = strategy.moves.get(history)
-            child = None if move is None else kids[node].get(move[0])
-            if child is None or not 0 <= move[1] < n_subspaces:
+            try:
+                zeta, zi = move
+                child = kids[node].get(zeta)
+            except (TypeError, ValueError):  # no move, or not a (label, subspace) pair
+                child = None
+            if child is None or not (isinstance(zi, int) and 0 <= zi < n_subspaces):
                 yield history, None, state
                 continue
             yield history, move, state
-            zeta, zi = move
             branches = [(child, (zeta, zi, ci)) for ci in range(n_compacts)]
         else:
             branches = []
@@ -480,7 +497,7 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
                 for zi in range(n_subspaces):
                     offer = (zeta, zi)
                     ci = strategy.moves.get((history, offer))
-                    if ci is None or not 0 <= ci < n_compacts:
+                    if not (isinstance(ci, int) and 0 <= ci < n_compacts):
                         yield (history, offer), None, state
                         continue
                     yield (history, offer), ci, state
@@ -641,6 +658,8 @@ def build_szlenk_game(
     xi: Ordinal, budget: TruncationBudget, model: ModelSpace
 ) -> GameSpec:
     """The szlenk-payoff game on a budget truncation of the Gamma family."""
+    from .families import gamma_family  # only here, so solving loads no families
+
     family = gamma_family(Ordinal(xi))
     tree = family.truncate(budget)
     weights = {node: family.weight(node) for node in tree.nodes}
@@ -648,32 +667,69 @@ def build_szlenk_game(
 
 
 # -- serialization ---------------------------------------------------------------
+#
+# Within one call, each distinct label text is parsed once, each history is
+# read from its parent's history, and each is given one text, from its parent's.
 
 
-def _frac_text(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def history_to_text(history: History) -> str:
-    return ";".join(f"{zeta}:{zi}:{ci}" for zeta, zi, ci in history)
-
-
-def history_from_text(text: str) -> History:
-    if not text:
-        return ()
-    moves = []
-    for part in text.split(";"):
-        zeta, zi, ci = part.split(":")
-        moves.append((Ordinal(zeta), int(zi), int(ci)))
-    return tuple(moves)
+def _move_to_text(move: Move) -> str:
+    zeta, zi, ci = move
+    return f"{zeta}:{zi}:{ci}"
 
 
 def _offer_to_text(offer: Offer) -> str:
     return f"{offer[0]}:{offer[1]}"
 
 
-def _pairs_to_text(pairs: ZDHistory) -> str:
-    return ";".join(_offer_to_text(p) for p in pairs)
+def history_to_text(history: History) -> str:
+    return ";".join(map(_move_to_text, history))
+
+
+def _history_texts(part_text: Callable[[tuple], str]) -> Callable[[tuple], str]:
+    """The text of a history, its parts' texts joined by ";", memoized: a
+    history met after its parent extends the parent's text.  (The solver's
+    and the extractor's dicts, and the sorted JSON texts, list parents first.)"""
+    texts = {(): ""}
+
+    def text(history: tuple) -> str:
+        found = texts.get(history)
+        if found is None:
+            head = texts.get(history[:-1])
+            if head is None:
+                head = ";".join(map(part_text, history[:-1]))
+            last = part_text(history[-1])
+            found = texts[history] = f"{head};{last}" if head else last
+        return found
+
+    return text
+
+
+def _history_reader(label: Callable[[str], Ordinal]) -> Callable[[str], History]:
+    """``history_from_text``, memoized, with ``label`` to parse a label text."""
+    known: Dict[str, History] = {"": ()}
+
+    def read(text: str) -> History:
+        found = known.get(text)
+        if found is None:
+            # on from the parent's history when that is known, else from the
+            # start: left to right, so that a bad text fails at its first bad part
+            head, _, last = text.rpartition(";")
+            found = known.get(head) if head else None
+            if found is None:
+                found, parts = (), text.split(";")
+            else:
+                parts = [last]
+            for part in parts:
+                zeta, zi, ci = part.split(":")
+                found += ((label(zeta), int(zi), int(ci)),)
+            known[text] = found
+        return found
+
+    return read
+
+
+def history_from_text(text: str) -> History:
+    return _history_reader(cache(Ordinal))(text)
 
 
 def game_to_json(game: GameSpec) -> dict:
@@ -739,36 +795,29 @@ def game_from_json(data: Union[dict, str]) -> GameSpec:
     tree = FiniteBTree.from_json(data["tree"])
     if not isinstance(data["weights"], dict):
         raise ValueError('"weights" must map node paths to rationals')
-    weights = {
-        tuple(Ordinal(s) for s in key.split(",")): value
-        for key, value in data["weights"].items()
-    }
+    label = cache(Ordinal)
+    weights = {tuple(map(label, key.split(","))): value for key, value in data["weights"].items()}
     payoff = data["payoff"]
     if payoff != PAYOFF_SZLENK:
         table = payoff.get("table") if isinstance(payoff, dict) else None
         if not isinstance(table, list) or not all(isinstance(h, str) for h in table):
             raise ValueError(f'"payoff" must be "{PAYOFF_SZLENK}" or a table of histories')
-        payoff = frozenset(history_from_text(h) for h in table)
+        payoff = frozenset(map(_history_reader(label), table))
     return GameSpec(tree, model, weights, payoff)
 
 
 def strategy_to_json(strategy: Strategy) -> dict:
+    text = _history_texts(cache(_move_to_text))
     if strategy.player == "I":
-        moves = {
-            history_to_text(h): [str(zeta), zi]
-            for h, (zeta, zi) in sorted(
-                strategy.moves.items(), key=lambda kv: history_to_text(kv[0])
-            )
-        }
+        label_text = cache(str)
+        rows = [(text(h), [label_text(zeta), zi]) for h, (zeta, zi) in strategy.moves.items()]
+        rows.sort(key=itemgetter(0))
     else:
-        moves = {
-            f"{history_to_text(h)}|{_offer_to_text(offer)}": ci
-            for (h, offer), ci in sorted(
-                strategy.moves.items(),
-                key=lambda kv: (history_to_text(kv[0][0]), _offer_to_text(kv[0][1])),
-            )
-        }
-    return {"player": strategy.player, "moves": moves}
+        offer_text = cache(_offer_to_text)
+        rows = [((text(h), offer_text(o)), ci) for (h, o), ci in strategy.moves.items()]
+        rows.sort(key=itemgetter(0))
+        rows = [(f"{h}|{o}", ci) for (h, o), ci in rows]
+    return {"player": strategy.player, "moves": dict(rows)}
 
 
 def strategy_from_json(data: Union[dict, str]) -> Strategy:
@@ -782,41 +831,40 @@ def strategy_from_json(data: Union[dict, str]) -> Strategy:
     if not isinstance(items, dict):
         raise ValueError('"moves" must be a JSON object')
     is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+    label = cache(Ordinal)
+    read = _history_reader(label)
     moves = {}
     for key, value in items.items():
         if player == "I":
             if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
                     and is_int(value[1])):
                 raise ValueError(f"Player I's move must be [label, subspace index], not {value!r}")
-            moves[history_from_text(key)] = (Ordinal(value[0]), value[1])
+            moves[read(key)] = (label(value[0]), value[1])
         else:
             if not is_int(value):
                 raise ValueError(f"Player II's move must be a compact index, not {value!r}")
             hist_text, offer_text = key.split("|")
             zeta, zi = offer_text.split(":")
-            moves[(history_from_text(hist_text), (Ordinal(zeta), int(zi)))] = value
+            moves[(read(hist_text), (label(zeta), int(zi)))] = value
     return Strategy(player, moves)
 
 
 def collections_to_json(collections: ExtractedCollections) -> dict:
+    choices, functionals, selections = collections
+    text = _history_texts(cache(_offer_to_text))
+    vector_texts: Dict[int, List[str]] = {}  # by id: the vectors are few, and shared
+
+    def vector_text(v: Vector) -> List[str]:
+        if id(v) not in vector_texts:
+            vector_texts[id(v)] = [_frac_text(x) for x in v]
+        return list(vector_texts[id(v)])
+
+    compacts = sorted(((text(s), ci) for s, ci in choices.items()), key=itemgetter(0))
+    functionals = sorted(((text(t), f) for t, f in functionals.items()), key=itemgetter(0))
+    selections = [((text(t), text(s)), v) for (s, t), v in selections.items()]
+    selections.sort(key=itemgetter(0))
     return {
-        "compacts": {
-            _pairs_to_text(s): ci
-            for s, ci in sorted(
-                collections.compact_choices.items(), key=lambda kv: _pairs_to_text(kv[0])
-            )
-        },
-        "functionals": {
-            _pairs_to_text(t): [_frac_text(x) for x in f]
-            for t, f in sorted(
-                collections.functionals.items(), key=lambda kv: _pairs_to_text(kv[0])
-            )
-        },
-        "selections": {
-            f"{_pairs_to_text(s)}|{_pairs_to_text(t)}": [_frac_text(x) for x in v]
-            for (s, t), v in sorted(
-                collections.selections.items(),
-                key=lambda kv: (_pairs_to_text(kv[0][1]), _pairs_to_text(kv[0][0])),
-            )
-        },
+        "compacts": dict(compacts),
+        "functionals": {t: vector_text(f) for t, f in functionals},
+        "selections": {f"{s}|{t}": vector_text(v) for (t, s), v in selections},
     }

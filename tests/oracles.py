@@ -424,3 +424,79 @@ def random_game(rng: Random, max_positions: int = 8000) -> GameSpec:
             table = frozenset(h for h in leaves if rng.random() < 0.5)
             game = GameSpec(tree, model, weights, table)
         return game
+
+
+# -- reference renderers ---------------------------------------------------------
+#
+# The text boundary as it was before it memoized labels and histories: every
+# label parsed and printed afresh, every history text joined from its moves.
+# The library's renderers must give equal dicts and identical bytes.
+
+
+def _frac_text(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def history_to_text(history) -> str:
+    return ";".join(f"{zeta}:{zi}:{ci}" for zeta, zi, ci in history)
+
+
+def reference_history_from_text(text: str):
+    if not text:
+        return ()
+    moves = []
+    for part in text.split(";"):
+        zeta, zi, ci = part.split(":")
+        moves.append((Ordinal(zeta), int(zi), int(ci)))
+    return tuple(moves)
+
+
+def _offer_to_text(offer) -> str:
+    return f"{offer[0]}:{offer[1]}"
+
+
+def _pairs_to_text(pairs) -> str:
+    return ";".join(_offer_to_text(p) for p in pairs)
+
+
+def reference_strategy_to_json(strategy: Strategy) -> dict:
+    if strategy.player == "I":
+        moves = {
+            history_to_text(h): [str(zeta), zi]
+            for h, (zeta, zi) in sorted(
+                strategy.moves.items(), key=lambda kv: history_to_text(kv[0])
+            )
+        }
+    else:
+        moves = {
+            f"{history_to_text(h)}|{_offer_to_text(offer)}": ci
+            for (h, offer), ci in sorted(
+                strategy.moves.items(),
+                key=lambda kv: (history_to_text(kv[0][0]), _offer_to_text(kv[0][1])),
+            )
+        }
+    return {"player": strategy.player, "moves": moves}
+
+
+def reference_collections_to_json(collections) -> dict:
+    return {
+        "compacts": {
+            _pairs_to_text(s): ci
+            for s, ci in sorted(
+                collections.compact_choices.items(), key=lambda kv: _pairs_to_text(kv[0])
+            )
+        },
+        "functionals": {
+            _pairs_to_text(t): [_frac_text(x) for x in f]
+            for t, f in sorted(
+                collections.functionals.items(), key=lambda kv: _pairs_to_text(kv[0])
+            )
+        },
+        "selections": {
+            f"{_pairs_to_text(s)}|{_pairs_to_text(t)}": [_frac_text(x) for x in v]
+            for (s, t), v in sorted(
+                collections.selections.items(),
+                key=lambda kv: (_pairs_to_text(kv[0][1]), _pairs_to_text(kv[0][0])),
+            )
+        },
+    }

@@ -329,6 +329,25 @@ class TestGame:
         for verb in ("verify", "extract"):
             assert_domain_error(run_cli(capsys, "game", verb, str(game_file), str(strategy_file)))
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("x:0:0|1:0", "bad CNF text at 'x'"),
+            ("1:0|1:0", "not enough values to unpack (expected 3, got 2)"),
+            ("1:a:0|1:0", "invalid literal for int() with base 10: 'a'"),
+            # the first bad part from the left names the error
+            ("1:0:0;y:0:0;x:0:0|1:0", "bad CNF text at 'y'"),
+        ],
+        ids=["bad-label", "two-field-part", "non-int-index", "two-bad-parts"],
+    )
+    def test_malformed_strategy_key_message(self, capsys, tmp_path, key, message):
+        game_file = self.build_game_file(capsys, tmp_path)
+        strategy_file = tmp_path / "strategy.json"
+        strategy_file.write_text(json.dumps({"player": "II", "moves": {"|1:0": 0, key: 0}}))
+        for verb in ("verify", "extract"):
+            result = run_cli(capsys, "game", verb, str(game_file), str(strategy_file))
+            assert result == (1, "", f"error: {message}\n")
+
     def test_solve_deterministic(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path, xi="2", max_n="2")
         first = run_cli(capsys, "game", "solve", str(game_file))
@@ -383,3 +402,71 @@ class TestConsoleScript:
             assert solved.returncode == 0, solved.stderr.decode()
             outputs.append(build.stdout + solved.stdout)
         assert outputs[0] == outputs[1]
+
+
+# the public names of ``ordgames`` before its re-exports became lazy
+PACKAGE_NAMES = [
+    "DerivationSystem", "FiniteBTree", "GameSpec", "GammaFamily", "INFINITY", "ModelSpace",
+    "NodePath", "OMEGA", "ONE", "Ordinal", "OrdinalError", "PAYOFF_SZLENK", "Strategy",
+    "TFamily", "TruncationBudget", "ZERO", "brute_force_winner", "btree", "budget_from_json",
+    "build_szlenk_game", "cb_index", "cb_stage", "cb_step", "compare", "complete_substrategy",
+    "derivation", "derivation_index", "dz_bound", "eval_payoff", "extract_collections",
+    "families", "family_from_json", "family_to_json", "games", "gamma_family", "make_family",
+    "monotone_embedding", "omega_mul", "omega_pow", "ordinal", "path_from_text", "path_to_text",
+    "quot_rem_omega_pow", "solve", "subtract_left", "t_family", "verify_monotone_map",
+    "verify_strategy",
+]
+
+
+def run_isolated(code, *args):
+    """Run ``code`` under ``python -S`` on this checkout; its last stdout line as JSON."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestImports:
+    LOADED = """
+import json, sys
+from ordgames import cli
+code = cli.run(sys.argv[1:])
+watched = ("ordgames.games", "ordgames.derivation", "dataclasses")
+print(json.dumps([code, [m for m in watched if m in sys.modules]]))
+"""
+
+    def test_family_verb_loads_no_games_or_derivation(self):
+        code, loaded = run_isolated(self.LOADED, "family", "truncate", "T", "3")
+        assert (code, loaded) == (0, [])
+
+    def test_game_build_loads_no_derivation(self, tmp_path):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(GAMMA1_MODEL))
+        code, loaded = run_isolated(self.LOADED, "game", "build", "1", str(model_file))
+        assert (code, loaded) == (0, ["ordgames.games"])
+
+    def test_public_names(self):
+        names = run_isolated(
+            """
+import json, sys, ordgames
+bare = sorted(m for m in sys.modules if m.startswith("ordgames."))
+listed = [n for n in dir(ordgames) if not n.startswith("_")]
+star = {}
+exec("from ordgames import *", star)
+print(json.dumps([bare, listed, sorted(ordgames.__all__), sorted(n for n in star if n[0] != "_")]))
+"""
+        )
+        assert names == [[], PACKAGE_NAMES, PACKAGE_NAMES, PACKAGE_NAMES]
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        found = run_isolated(
+            """
+import json, ordgames
+print(json.dumps([ordgames.games.solve.__module__, ordgames.Ordinal.__module__]))
+"""
+        )
+        assert found == ["ordgames.games", "ordgames.ordinal"]

@@ -68,6 +68,14 @@ class TestDerivationSystem:
         with pytest.raises(ValueError):
             derivation_index(system, {1})
 
+    def test_value_semantics(self):
+        system = DerivationSystem(frozenset({1}), len)
+        assert repr(system) == "DerivationSystem(ground=frozenset({1}), step=<built-in function len>)"
+        assert system == DerivationSystem(frozenset({1}), len) != DerivationSystem(frozenset(), len)
+        assert hash(system) == hash((frozenset({1}), len))
+        with pytest.raises(AttributeError):
+            system.step = abs
+
     def test_start_outside_ground_rejected(self):
         system = DerivationSystem(frozenset({1}), lambda s: s)
         with pytest.raises(ValueError):

@@ -34,6 +34,16 @@ class TestBudget:
         with pytest.raises(ValueError):
             B(1, max_depth=0)
 
+    def test_value_semantics(self):
+        budget = B(3)
+        assert repr(budget) == "TruncationBudget(max_n=3, max_depth=512)"
+        assert budget == B(max_n=3, max_depth=512) and budget != B(3, 9) and budget != (3, 512)
+        assert hash(budget) == hash((3, 512)) and len({budget, B(3)}) == 1
+        with pytest.raises(AttributeError):
+            budget.max_n = 4
+        with pytest.raises(TypeError):
+            B(None)
+
     def test_make_family(self):
         assert make_family("T", Ordinal(2)).member(P("2,1"))
         assert make_family("Gamma", ZERO).member(P("1"))

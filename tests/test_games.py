@@ -15,6 +15,9 @@ from oracles import (
     random_game,
     random_model,
     reachable_restriction,
+    reference_collections_to_json,
+    reference_history_from_text,
+    reference_strategy_to_json,
     selection_set,
     verify_by_enumeration,
     winner_by_rerooting,
@@ -31,10 +34,12 @@ from ordgames.games import (
     collections_to_json,
     complete_substrategy,
     eval_payoff,
+    ExtractedCollections,
     extract_collections,
     game_from_json,
     game_position_count,
     game_to_json,
+    history_from_text,
     solve,
     strategy_from_json,
     strategy_to_json,
@@ -335,6 +340,17 @@ class TestSolve:
         assert len(kinds) == 4  # both payoff kinds, both winners
 
 
+class TestStrategy:
+    def test_value_semantics(self):
+        strategy = Strategy("II", {((), (ONE, 0)): 0})
+        assert repr(strategy) == "Strategy(player='II', moves={((), (Ordinal('1'), 0)): 0})"
+        assert strategy == Strategy("II", {((), (ONE, 0)): 0}) != Strategy("II", {})
+        with pytest.raises(TypeError):
+            hash(strategy)
+        with pytest.raises(ValueError, match="unknown player 'III'"):
+            Strategy("III", {})
+
+
 class TestVerifyStrategy:
     def test_rejects_wrong_side(self):
         game = single_node_game(payoff=frozenset({LEAF}))  # II wins
@@ -357,6 +373,22 @@ class TestVerifyStrategy:
         # an int equals the Ordinal label, but is not a label of the tree
         assert not verify_strategy(game, Strategy("I", {(): (1, 0)}))
         assert verify_strategy(game, Strategy("I", {(): (ONE, 0)}))
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            Strategy("I", {(): (ONE,)}),
+            Strategy("I", {(): ONE}),
+            Strategy("I", {(): (ONE, 0.5)}),
+            Strategy("II", {((), (ONE, 0)): 0.5}),
+        ],
+        ids=["one-field-move", "bare-label", "float-subspace", "float-reply"],
+    )
+    def test_malformed_move_fails(self, strategy):
+        # not an error: a move of the wrong shape is an illegal move; I wins
+        # the second game, II the first
+        for game in (single_node_game(), single_node_game(payoff=frozenset())):
+            assert not verify_strategy(game, strategy)
 
     LEGAL_CHAIN = {(): (ONE, 0), ((ONE, 0, 0),): (Ordinal(2), 0)}
 
@@ -737,6 +769,69 @@ class TestJsonRoundTrip:
             assert restored.player == strategy.player
             assert restored.moves == strategy.moves
             assert verify_strategy(game, restored)
+
+
+def _outcome(function, *args):
+    """The value, or the type and text of the ValueError raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_PARTS = st.one_of(
+    st.sampled_from(["1:0:0", "2:1:0", "w:0:1", "w+1:0:0"]), st.text("12w+:x", max_size=6)
+)
+_HISTORY_TEXTS = st.lists(_PARTS, max_size=4).map(";".join)
+
+
+class TestTextBoundary:
+    """The memoized readers and renderers against the plain ones in oracles."""
+
+    @staticmethod
+    def same_json(new, old):
+        assert new == old
+        assert json.dumps(new) == json.dumps(old)  # insertion order too
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_renderers_match_reference(self, rng):
+        game = random_game(rng)
+        winner, strategy = solve(game)
+        # a part of the strategy too, where histories miss their parents
+        part = Strategy(winner, {k: v for k, v in strategy.moves.items() if rng.random() < 0.5})
+        for s in (strategy, part):
+            data = strategy_to_json(s)
+            self.same_json(data, reference_strategy_to_json(s))
+            assert strategy_from_json(json.loads(json.dumps(data))) == s
+            if winner == "I":
+                for text in data["moves"]:
+                    assert history_from_text(text) == reference_history_from_text(text)
+        if winner == "II" and game.payoff == PAYOFF_SZLENK:
+            collections = extract_collections(game, strategy)
+            self.same_json(collections_to_json(collections), reference_collections_to_json(collections))
+            choices = {k: v for k, v in collections.compact_choices.items() if rng.random() < 0.5}
+            thinned = ExtractedCollections(choices, collections.functionals, collections.selections)
+            self.same_json(collections_to_json(thinned), reference_collections_to_json(thinned))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_HISTORY_TEXTS)
+    def test_history_from_text_matches_reference(self, text):
+        assert _outcome(history_from_text, text) == _outcome(reference_history_from_text, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_HISTORY_TEXTS, max_size=6, unique=True))
+    def test_strategy_keys_match_reference(self, keys):
+        # one call reads every key: the first bad key, at its first bad part,
+        # names the error, as reading each key afresh from the left would
+        def reference(keys):
+            return {reference_history_from_text(key): (ONE, 0) for key in keys}
+
+        def read(keys):
+            data = {"player": "I", "moves": {key: ["1", 0] for key in keys}}
+            return strategy_from_json(data).moves
+
+        assert _outcome(read, keys) == _outcome(reference, keys)
 
 
 class TestDeepChain:
