@@ -187,19 +187,15 @@ def _run_family(args) -> None:
         print(",".join(str(label) for label in labels))
     elif args.verb == "truncate":
         _emit_json(family.truncate(_budget(args)).to_json())
+    elif args.kind == "Gamma":  # branches, with their prefix weights
+        for branch, weights in itertools.islice(family.weighted_branches(_budget(args)), args.limit):
+            columns = [path_to_text(branch), ",".join(_frac_text(w) for w in weights)]
+            if args.sum:
+                columns.append(_frac_text(sum(weights)))
+            print("\t".join(columns))
     else:  # branches
-        stream = family.maximal_branches(_budget(args))
-        if args.limit is not None:
-            stream = itertools.islice(stream, args.limit)
-        for branch in stream:
-            if args.kind == "Gamma":
-                weights = family.prefix_weights(branch)
-                columns = [path_to_text(branch), ",".join(_frac_text(w) for w in weights)]
-                if args.sum:
-                    columns.append(_frac_text(sum(weights)))
-                print("\t".join(columns))
-            else:
-                print(path_to_text(branch))
+        for branch in itertools.islice(family.maximal_branches(_budget(args)), args.limit):
+            print(path_to_text(branch))
 
 
 def _run_cb(args) -> None:
@@ -255,6 +251,11 @@ def run(argv=None) -> int:
             _run_game(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the Gamma reader and walk recurse once per index level, so a Gamma
+        # index (or a path's component) a few hundred levels deep ends here
+        print("error: input nested too deeply to evaluate", file=sys.stderr)
         return 1
     return 0
 

@@ -23,10 +23,13 @@ inner label) by division by omega^sigma with remainders taken in
 of the successor family at zeta + 1 shifted by omega^zeta; the component of
 a path is recovered from its first label.
 
-One recursive reader, ``_gamma_read``, follows this split once per path;
-every Gamma query is a line or two over its reading.  It keeps the module's
-one path-keyed cache: a walk asks several queries of each path, and blocks
-recur across paths.
+A member's reading (``_Reading``) holds what its maximality, rank, weights
+and the labels one step below it need.  The walk that ``truncate`` and the
+branch enumerations share carries every node's reading down from its
+parent's, with O(1) ordinal operations per index level, and touches no
+cache.  A point query reads its path once with the recursive reader
+``_gamma_read``, which keeps the module's one path-keyed cache (65,536
+entries) for point queries only: blocks recur across the paths queried.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, path_to_text
 from .ordinal import ONE, ZERO, Ordinal, OrdinalError, _from_cnf, omega_pow, quot_rem_omega_pow, subtract_left
@@ -67,6 +70,8 @@ class TruncationBudget:
     __slots__ = ("max_n", "max_depth")
 
     def __init__(self, max_n: int, max_depth: int = _MAX_DEPTH):
+        if type(max_n) is not int or type(max_depth) is not int:
+            raise TypeError("max_n and max_depth must be ints")
         object.__setattr__(self, "max_n", max_n)
         object.__setattr__(self, "max_depth", max_depth)
         if max_n < 1:
@@ -102,9 +107,14 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
 class _Family:
     """Shared validation and enumeration.
 
-    Subclasses define ``member``, ``rank``, ``root_labels`` and two hooks that
-    trust their path to be a member: ``_labels_below`` and ``_leaf``.  The
-    public queries check membership once; the walk builds only members.
+    Subclasses define ``member``, ``rank`` and four hooks over the state of a
+    member node, which is what the family needs to know of the node to go on
+    below it: ``_state(path)`` reads it from a path (and raises ValueError
+    for a non-member), ``_roots(budget)`` gives the (label, state) pairs of
+    the one-label members, ``_below(state, budget)`` the pairs one step
+    below a member, and ``_leaf(state)`` says whether the member is maximal.
+    The walk carries every node's state down from its parent's, so it reads
+    no path; the public queries read theirs once.
     """
 
     kind: str
@@ -121,49 +131,53 @@ class _Family:
     def rank(self, path: NodePath) -> Ordinal:
         raise NotImplementedError
 
+    def _state(self, path: NodePath):
+        raise NotImplementedError
+
+    def _roots(self, budget: TruncationBudget) -> list:
+        raise NotImplementedError
+
+    def _below(self, state, budget: TruncationBudget) -> list:
+        raise NotImplementedError
+
+    def _leaf(self, state) -> bool:
+        raise NotImplementedError
+
+    def _not_member(self, path: NodePath) -> ValueError:
+        return ValueError(f"{path_to_text(path)} is not a member of {self!r}")
+
     def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
-        raise NotImplementedError
-
-    def _labels_below(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
-        raise NotImplementedError
-
-    def _leaf(self, path: NodePath) -> bool:
-        raise NotImplementedError
-
-    def _require_member(self, path: NodePath) -> NodePath:
-        path = tuple(path)
-        if not self.member(path):
-            raise ValueError(f"{path_to_text(path)} is not a member of {self!r}")
-        return path
+        return [label for label, _ in self._roots(budget)]
 
     def children(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
         """Sorted labels extending ``path`` by one step (``()`` = virtual root)."""
         path = tuple(path)
         if not path:
             return self.root_labels(budget)
-        return self._labels_below(self._require_member(path), budget)
+        return [label for label, _ in self._below(self._state(path), budget)]
 
     def is_maximal(self, path: NodePath) -> bool:
-        return self._leaf(self._require_member(path))
+        return self._leaf(self._state(path))
 
-    def _walk(self, budget: TruncationBudget) -> Iterator[NodePath]:
-        # pre-order on an explicit stack; a node's children are expanded only
-        # while its length is below max_depth
-        stack = [(label,) for label in reversed(self.root_labels(budget))]
+    def _walk(self, budget: TruncationBudget) -> Iterator[tuple]:
+        # pre-order over (path, state) on an explicit stack; a node's
+        # children are expanded only while its length is below max_depth
+        stack = [((label,), state) for label, state in reversed(self._roots(budget))]
         while stack:
-            path = stack.pop()
-            yield path
+            node = stack.pop()
+            yield node
+            path, state = node
             if len(path) < budget.max_depth:
-                below = self._labels_below(path, budget)
-                stack.extend(path + (label,) for label in reversed(below))
+                below = self._below(state, budget)
+                stack.extend((path + (label,), child) for label, child in reversed(below))
 
     def maximal_branches(self, budget: TruncationBudget) -> Iterator[NodePath]:
         """Lazily yield paths maximal in the full family, up to the budget."""
-        return (path for path in self._walk(budget) if self._leaf(path))
+        return (path for path, state in self._walk(budget) if self._leaf(state))
 
     def truncate(self, budget: TruncationBudget) -> FiniteBTree:
         """The finite B-tree of all members reachable within the budget."""
-        return FiniteBTree(self._walk(budget))
+        return FiniteBTree(path for path, _ in self._walk(budget))
 
 
 class TFamily(_Family):
@@ -172,7 +186,7 @@ class TFamily(_Family):
     The first label is xi itself at a successor xi and any successor below
     xi at a limit; the rest of the path is a member of the family at that
     label's predecessor.  So the subtree below a member path is the family
-    at ``path[-1].pred()``.
+    at ``path[-1].pred()``, and a node's state is its last label.
     """
 
     kind = "T"
@@ -185,82 +199,121 @@ class TFamily(_Family):
             xi = label.pred()
         return len(path) > 0
 
-    def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
+    def _require_member(self, path: NodePath) -> NodePath:
+        path = tuple(path)
+        if not self.member(path):
+            raise self._not_member(path)
+        return path
+
+    def _state(self, path: NodePath) -> Ordinal:
+        return self._require_member(path)[-1]
+
+    def _roots(self, budget: TruncationBudget) -> List[Tuple[Ordinal, Ordinal]]:
         xi = self.xi
         if xi.is_zero:
             return []
         if xi.is_successor:
-            return [xi]
-        return [_fundamental(xi, k) + 1 for k in range(budget.max_n)]
+            return [(xi, xi)]
+        return [(label, label) for label in (_fundamental(xi, k) + 1 for k in range(budget.max_n))]
 
-    def _labels_below(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
-        return t_family(path[-1].pred()).root_labels(budget)
+    def _below(self, label: Ordinal, budget: TruncationBudget) -> List[Tuple[Ordinal, Ordinal]]:
+        return t_family(label.pred())._roots(budget)
 
-    def _leaf(self, path: NodePath) -> bool:
-        return path[-1] == ONE
+    def _leaf(self, label: Ordinal) -> bool:
+        return label == ONE
 
     def rank(self, path: NodePath) -> Ordinal:
-        return self._require_member(path)[-1].pred()
+        return self._state(path).pred()
 
 
 class GammaFamily(_Family):
-    """The weighted tree of order omega^xi."""
+    """The weighted tree of order omega^xi.
+
+    A node's state is its ``_Reading``.  The walk builds each child's reading
+    from its parent's with O(1) ordinal operations per index level, and
+    ``_gamma_read`` reads the path of a point query.  At a successor
+    sigma + 1 the family keeps sigma and the block unit omega^sigma; a
+    component of a limit is such a family, and its unit is its shift.
+    """
 
     kind = "Gamma"
+
+    def __init__(self, xi: Ordinal):
+        super().__init__(xi)
+        if self.xi.is_successor:
+            self._sigma = self.xi.pred()
+            self._unit = omega_pow(self._sigma)
 
     def member(self, path: NodePath) -> bool:
         return _gamma_read(self.xi, tuple(path)) is not None
 
-    def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
+    def _state(self, path: NodePath) -> _Reading:
+        path = tuple(path)
+        reading = _gamma_read(self.xi, path)
+        if reading is None:
+            raise self._not_member(path)
+        return reading
+
+    def _roots(self, budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
         # sorted as built: block n's labels lie in (unit * n, unit * (n + 1)],
         # and component zeta's in (omega^zeta, omega^(zeta + 1)]
         xi = self.xi
         if xi.is_zero:
-            return [ONE]
+            return [(ONE, _GAMMA_0)]
         if xi.is_successor:
-            sigma = xi.pred()
-            unit, inner = omega_pow(sigma), gamma_family(sigma).root_labels(budget)
-            return [unit * n + r for n in range(budget.max_n) for r in inner]
-        zetas = [_fundamental(xi, k) for k in range(budget.max_n)]
-        return [omega_pow(z) + r for z in zetas for r in gamma_family(z + 1).root_labels(budget)]
+            unit, block_roots = self._unit, gamma_family(self._sigma)._roots(budget)
+            return [(unit * q + r, _in_block(q, s, q + 1, ())) for q in range(budget.max_n) for r, s in block_roots]
+        out = []
+        for k in range(budget.max_n):
+            component = gamma_family(_fundamental(xi, k) + 1)
+            out += [(component._unit + r, _in_component(component, s)) for r, s in component._roots(budget)]
+        return out
 
-    def _labels_below(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
-        return self._below(_gamma_read(self.xi, path), budget)
-
-    def _below(self, reading: _Reading, budget: TruncationBudget) -> List[Ordinal]:
+    def _below(self, reading: _Reading, budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
         # a maximal reading has nothing below it, and every reading at 0 is
         # maximal; shifting a sorted list on the left keeps it sorted
         if reading.maximal:
             return []
         if self.xi.is_successor:
-            sigma = self.xi.pred()
-            q, last = reading.inner
-            sub, unit = gamma_family(sigma), omega_pow(sigma)
+            q, last, n = reading.inner
+            sub = gamma_family(self._sigma)
             if last.maximal:  # so q > 0: open the next block
-                return [unit * (q - 1) + r for r in sub.root_labels(budget)]
-            return [unit * q + r for r in sub._below(last, budget)]
-        zeta, stripped = reading.inner
-        offset = omega_pow(zeta)
-        return [offset + r for r in gamma_family(zeta + 1)._below(stripped, budget)]
+                q -= 1
+                pairs = sub._roots(budget)
+            else:
+                pairs = sub._below(last, budget)
+            base, head = self._unit * q, reading.denominators
+            return [(base + r, _in_block(q, s, n, head)) for r, s in pairs]
+        component, stripped = reading.inner
+        shift = component._unit
+        return [(shift + r, _in_component(component, s)) for r, s in component._below(stripped, budget)]
 
-    def _leaf(self, path: NodePath) -> bool:
-        return _gamma_read(self.xi, path).maximal
-
-    def _read(self, path: NodePath) -> _Reading:
-        return _gamma_read(self.xi, self._require_member(path))
+    def _leaf(self, reading: _Reading) -> bool:
+        return reading.maximal
 
     def rank(self, path: NodePath) -> Ordinal:
-        return self._read(path).rank
+        # below a node of block q lie the rest of its block and q whole blocks
+        # of order omega^sigma; ordinal addition is associative, so the terms
+        # are summed from the outermost index level in
+        family, reading, rank = self, self._state(path), ZERO
+        while not family.xi.is_zero:
+            if family.xi.is_successor:
+                q, reading, _ = reading.inner
+                rank = rank + family._unit * q
+                family = gamma_family(family._sigma)
+            else:
+                family, reading = reading.inner
+        return rank
 
     # -- weights -------------------------------------------------------------
 
     def weight(self, path: NodePath) -> Fraction:
         """The exact rational weight of a member node."""
-        return Fraction(1, self._read(path).denominators[-1])
+        return Fraction(1, self._state(path).denominators[-1])
 
     def prefix_weights(self, path: NodePath) -> Tuple[Fraction, ...]:
         """Weights of every nonempty prefix of ``path``, in order."""
-        return tuple(Fraction(1, d) for d in self._read(path).denominators)
+        return _weights(self._state(path))
 
     def branch_weight_sum(self, path: NodePath) -> Tuple[Fraction, bool]:
         """Sum of prefix weights plus a flag: True iff the branch is maximal.
@@ -268,18 +321,47 @@ class GammaFamily(_Family):
         The sum equals 1 exactly when the flag is True; otherwise it is the
         partial sum along a non-maximal path.
         """
-        return sum(self.prefix_weights(path), Fraction(0)), self._read(path).maximal
+        reading = self._state(path)
+        return sum(_weights(reading), Fraction(0)), reading.maximal
+
+    def node_weights(self, budget: TruncationBudget) -> Dict[NodePath, Fraction]:
+        """Every node of ``truncate(budget)`` with its weight, from one walk."""
+        return {path: Fraction(1, reading.denominators[-1]) for path, reading in self._walk(budget)}
+
+    def weighted_branches(self, budget: TruncationBudget) -> Iterator[Tuple[NodePath, Tuple[Fraction, ...]]]:
+        """``maximal_branches`` with the prefix weights of each, from one walk."""
+        return ((path, _weights(reading)) for path, reading in self._walk(budget) if reading.maximal)
 
 
 class _Reading(NamedTuple):
-    """What ``_gamma_read`` gives for a member path."""
+    """A member of a Gamma family as its walk and its queries see it."""
 
-    rank: Ordinal
     maximal: bool
     denominators: Tuple[int, ...]  # prefix k weighs 1 / denominators[k]
-    # for the labels below: () at 0, (the last block's quotient, its reading)
-    # at a successor, (zeta, the stripped path's reading) at a limit
+    # for the labels below and the rank: () at 0; at a successor the last
+    # block's quotient q, its reading in Gamma at the predecessor and the
+    # block parameter n (the first block's quotient is n - 1); at a limit
+    # the component, Gamma at zeta + 1, and the reading in it of the path
+    # stripped of omega^zeta
     inner: tuple
+
+
+_GAMMA_0 = _Reading(True, (1,), ())
+
+
+def _in_block(q: int, block: _Reading, n: int, head: Tuple[int, ...]) -> _Reading:
+    """The reading of a node of block q, parameter n, whose block reads
+    ``block``, below a path whose denominators are ``head``."""
+    return _Reading(q == 0 and block.maximal, head + (block.denominators[-1] * n,), (q, block, n))
+
+
+def _in_component(component: GammaFamily, stripped: _Reading) -> _Reading:
+    """The reading at a limit of a node of ``component``."""
+    return _Reading(stripped.maximal, stripped.denominators, (component, stripped))
+
+
+def _weights(reading: _Reading) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(1, d) for d in reading.denominators)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -295,7 +377,7 @@ def _gamma_read(xi: Ordinal, path: NodePath) -> Optional[_Reading]:
     if not path:
         return None
     if xi.is_zero:
-        return _Reading(ZERO, True, (1,), ()) if path == (ONE,) else None
+        return _GAMMA_0 if path == (ONE,) else None
     if xi.is_successor:
         sigma = xi.pred()
         blocks: List[List[Ordinal]] = []
@@ -319,20 +401,19 @@ def _gamma_read(xi: Ordinal, path: NodePath) -> Optional[_Reading]:
             return None
         n = q_last + len(blocks)
         return _Reading(
-            omega_pow(sigma) * q_last + last.rank,
             q_last == 0 and last.maximal,
             tuple(d * n for b in readings for d in b.denominators),
-            (q_last, last),
+            (q_last, last, n),
         )
     if path[0].is_zero or not path[0].leading_exponent < xi:
         return None
-    zeta = path[0].leading_exponent
+    component = gamma_family(path[0].leading_exponent + 1)
     try:
-        stripped = tuple(subtract_left(omega_pow(zeta), label) for label in path)
+        stripped = tuple(subtract_left(component._unit, label) for label in path)
     except OrdinalError:
         return None
-    reading = _gamma_read(zeta + 1, stripped)
-    return None if reading is None else reading._replace(inner=(zeta, reading))
+    reading = _gamma_read(component.xi, stripped)
+    return None if reading is None else _in_component(component, reading)
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +421,9 @@ def t_family(xi: Ordinal) -> TFamily:
     return TFamily(Ordinal(xi))
 
 
-@lru_cache(maxsize=None)
+# bounded: a point query at a limit index makes the family of the component
+# it reads, and the components of the paths queried are without limit
+@lru_cache(maxsize=1 << 12)
 def gamma_family(xi: Ordinal) -> GammaFamily:
     return GammaFamily(Ordinal(xi))
 

@@ -660,10 +660,8 @@ def build_szlenk_game(
     """The szlenk-payoff game on a budget truncation of the Gamma family."""
     from .families import gamma_family  # only here, so solving loads no families
 
-    family = gamma_family(Ordinal(xi))
-    tree = family.truncate(budget)
-    weights = {node: family.weight(node) for node in tree.nodes}
-    return GameSpec(tree, model, weights, PAYOFF_SZLENK)
+    weights = gamma_family(Ordinal(xi)).node_weights(budget)
+    return GameSpec(FiniteBTree(weights), model, weights, PAYOFF_SZLENK)
 
 
 # -- serialization ---------------------------------------------------------------

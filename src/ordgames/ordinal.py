@@ -18,7 +18,10 @@ rather than rejected.
 CNF text, or an iterable of (exponent, coefficient) pairs, whose exponents
 must strictly decrease and whose coefficients must be ints >= 1; anything
 else, a bool among it, raises ``OrdinalError``.  Comparisons coerce ints
-but not bools.  Copying an ``Ordinal`` reuses its terms and hash.  Terms
+but not bools.  Copying an ``Ordinal`` reuses its terms and hash.
+``compare``, ``omega_pow``, ``omega_mul``, ``subtract_left`` and
+``quot_rem_omega_pow`` use an ``Ordinal`` argument as it is, with no copy,
+and read an int or CNF text through the checked constructor.  Terms
 this module computes are in Cantor normal form by construction, so
 ``pred``, ``+``, ``* n``, ``omega_pow``, ``omega_mul``, ``subtract_left``,
 ``quot_rem_omega_pow`` (and ``families._fundamental``) build their results
@@ -269,29 +272,34 @@ def _coerce(value) -> "Ordinal | None":
     return None
 
 
+def _ordinal(value: OrdinalLike) -> Ordinal:
+    """An ``Ordinal`` argument as it is; anything else through the checked
+    constructor."""
+    return value if isinstance(value, Ordinal) else Ordinal(value)
+
+
 ZERO = Ordinal()
 ONE = Ordinal(1)
 
 
 def compare(a: OrdinalLike, b: OrdinalLike) -> int:
     """Three-way comparison: -1, 0 or 1 as a <, ==, > b."""
-    return Ordinal(a)._cmp(Ordinal(b))
+    return _ordinal(a)._cmp(_ordinal(b))
 
 
 def omega_pow(x: OrdinalLike) -> Ordinal:
     """omega raised to the ordinal x; omega_pow(0) == 1."""
-    return _from_cnf(((Ordinal(x), 1),))
+    return _from_cnf(((_ordinal(x), 1),))
 
 
 def omega_mul(a: OrdinalLike) -> Ordinal:
     """Left multiplication omega * a, via the exponent shift e -> 1 + e."""
-    a = Ordinal(a)
-    return _from_cnf(tuple((ONE + e, c) for e, c in a.terms))
+    return _from_cnf(tuple((ONE + e, c) for e, c in _ordinal(a).terms))
 
 
 def subtract_left(g: OrdinalLike, b: OrdinalLike) -> Ordinal:
     """The unique d with g + d == b.  Requires g <= b."""
-    g, b = Ordinal(g), Ordinal(b)
+    g, b = _ordinal(g), _ordinal(b)
     gt, bt = g.terms, b.terms
     for i, (tg, tb) in enumerate(zip(gt, bt)):
         if tg == tb:
@@ -317,11 +325,11 @@ def quot_rem_omega_pow(
     exists only when a > 0 and the default quotient is a successor whenever the
     default remainder is 0, and an OrdinalError is raised otherwise.
     """
-    a, g = Ordinal(a), Ordinal(g)
+    a, g = _ordinal(a), _ordinal(g)
     high = []
     split = len(a.terms)
     for i, (e, c) in enumerate(a.terms):
-        if e >= g:
+        if e._cmp(g) >= 0:
             high.append((subtract_left(g, e), c))
         else:
             split = i

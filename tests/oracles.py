@@ -139,6 +139,22 @@ def gamma_members(xi: Ordinal, max_n: int, max_len: int):
     return out
 
 
+def reference_walk(family, budget):
+    """The nodes of a family's truncation in pre-order, and its maximal
+    branches in that order, from ``children`` and ``is_maximal`` asked of
+    every path: the walk as it was before it carried any state."""
+    nodes, branches = [], []
+    stack = [(label,) for label in reversed(family.children((), budget))]
+    while stack:
+        path = stack.pop()
+        nodes.append(path)
+        if family.is_maximal(path):
+            branches.append(path)
+        if len(path) < budget.max_depth:
+            stack.extend(path + (label,) for label in reversed(family.children(path, budget)))
+    return nodes, branches
+
+
 def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 

@@ -206,6 +206,29 @@ class TestFamily:
         else:
             assert len(json.loads(result.stdout)["nodes"]) == 900
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["truncate", "Gamma", "3000", "--max-n", "1"],
+            ["member", "Gamma", "3000", "3000"],
+            ["member", "Gamma", "w", "w^(3000)+1"],
+        ],
+        ids=["truncate-Gamma3000", "member-Gamma3000", "member-Gamma_w-deep-component"],
+    )
+    def test_deep_gamma_index_is_a_domain_error(self, argv):
+        # the Gamma reader and walk recurse once per index level; thousands
+        # of levels are past the recursion limit of every supported Python
+        # (a few hundred may not be), and must end in one error line
+        result = subprocess.run(
+            [sys.executable, "-m", "ordgames.cli", "family", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR),
+        )
+        assert result.returncode == 1
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestCbAndBound:
     def test_cb(self, capsys):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ordinals
-from oracles import gamma1_members, gamma2_members_from_display, gamma_members, t_members
+from oracles import gamma1_members, gamma2_members_from_display, gamma_members, reference_walk, t_members
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
     TruncationBudget,
+    _gamma_read,
     gamma_family,
     make_family,
     monotone_embedding,
@@ -43,6 +44,13 @@ class TestBudget:
             budget.max_n = 4
         with pytest.raises(TypeError):
             B(None)
+
+    @pytest.mark.parametrize("bad", [2.5, True, False, "3", None, 3.0])
+    def test_rejects_what_is_not_an_int(self, bad):
+        with pytest.raises(TypeError):
+            B(bad)
+        with pytest.raises(TypeError):
+            B(2, max_depth=bad)
 
     def test_make_family(self):
         assert make_family("T", Ordinal(2)).member(P("2,1"))
@@ -239,6 +247,70 @@ class TestGammaOracle:
                 if path not in built:
                     with pytest.raises(ValueError):
                         family.is_maximal(path)
+
+
+# (index, largest max_n, largest max_depth or None): a few hundred nodes at
+# most (Gamma_3 and Gamma_w at max_n 3 have over 170,000); finite,
+# successor and limit indices
+WALK_CASES = [
+    (ZERO, 3, None),
+    (ONE, 3, None),
+    (Ordinal(2), 3, None),
+    (Ordinal(3), 2, None),
+    (OMEGA, 2, None),
+    (OMEGA + 1, 2, None),
+    (OMEGA * 2, 2, 3),
+    (omega_pow(OMEGA), 2, None),
+]
+
+
+@st.composite
+def walks(draw):
+    """A Gamma family and a budget, with or without a max_depth cut-off."""
+    xi, top_n, top_depth = draw(st.sampled_from(WALK_CASES))
+    max_n = draw(st.integers(1, top_n))
+    max_depth = draw(st.one_of(st.none(), st.integers(1, 5)))
+    if top_depth is not None:
+        max_depth = min(max_depth or top_depth, top_depth)
+    return gamma_family(xi), B(max_n) if max_depth is None else B(max_n, max_depth=max_depth)
+
+
+class TestWalk:
+    """The walk carries each node's reading down from its parent's; it must
+    give every node the reading a point query gets, and the nodes and
+    branches of a walk that asks ``children``/``is_maximal`` per path."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(walks())
+    def test_matches_point_queries(self, walk):
+        family, budget = walk
+        walked = list(family._walk(budget))
+        for path, reading in walked:
+            assert reading == _gamma_read(family.xi, path), path
+        nodes, branches = reference_walk(family, budget)
+        assert [path for path, _ in walked] == nodes
+        assert family.truncate(budget) == FiniteBTree(nodes)
+        assert list(family.maximal_branches(budget)) == branches
+        assert family.node_weights(budget) == {path: family.weight(path) for path in nodes}
+        assert list(family.weighted_branches(budget)) == [(b, family.prefix_weights(b)) for b in branches]
+
+    @settings(max_examples=20, deadline=None)
+    @given(walks())
+    def test_leaves_the_point_query_cache_alone(self, walk):
+        family, budget = walk
+        before = _gamma_read.cache_info()
+        family.truncate(budget)
+        list(family.maximal_branches(budget))
+        family.node_weights(budget)
+        list(family.weighted_branches(budget))
+        assert _gamma_read.cache_info() == before
+
+    def test_t_family(self):
+        for xi in (Ordinal(5), OMEGA * 2 + 3, omega_pow(2)):
+            family, budget = t_family(xi), B(3)
+            nodes, branches = reference_walk(family, budget)
+            assert [path for path, _ in family._walk(budget)] == nodes
+            assert list(family.maximal_branches(budget)) == branches
 
 
 class TestDeepT:

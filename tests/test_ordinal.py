@@ -182,6 +182,10 @@ class TestOmegaPow:
     def test_leading_exponent(self, x):
         assert omega_pow(x).leading_exponent == x
 
+    @given(ordinals())
+    def test_uses_an_ordinal_argument_as_it_is(self, x):
+        assert omega_pow(x).leading_exponent is x
+
 
 class TestOmegaMul:
     def test_shifts_every_term(self):
@@ -281,6 +285,59 @@ class TestHashing:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             OMEGA.terms = ()
+
+
+class TestArgumentKinds:
+    """The helpers read an int or CNF text through the checked constructor
+    and use an ``Ordinal`` as it is: all three give the same results, and a
+    bool is no ordinal."""
+
+    @staticmethod
+    def _kinds(x):
+        kinds = [x, str(x)]
+        if x.is_finite:
+            kinds.append(x.as_int())
+        return kinds
+
+    @given(ordinals(height=3), ordinals())
+    def test_same_results(self, a, g):
+        want_cmp, want_qr = compare(a, g), quot_rem_omega_pow(a, g)
+        lo, hi = sorted([a, g])
+        want_sub = subtract_left(lo, hi)
+        try:
+            want_above = quot_rem_omega_pow(a, g, True)
+        except OrdinalError:
+            want_above = None
+        for a2 in self._kinds(a):
+            for g2 in self._kinds(g):
+                assert compare(a2, g2) == want_cmp
+                assert quot_rem_omega_pow(a2, g2) == want_qr
+                if want_above is None:
+                    with pytest.raises(OrdinalError):
+                        quot_rem_omega_pow(a2, g2, True)
+                else:
+                    assert quot_rem_omega_pow(a2, g2, True) == want_above
+        for lo2 in self._kinds(lo):
+            for hi2 in self._kinds(hi):
+                assert subtract_left(lo2, hi2) == want_sub
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b: compare(b, 1),
+            lambda b: compare(ONE, b),
+            lambda b: subtract_left(b, 2),
+            lambda b: subtract_left(ZERO, b),
+            lambda b: quot_rem_omega_pow(b, 1),
+            lambda b: quot_rem_omega_pow(OMEGA, b),
+            omega_pow,
+            omega_mul,
+        ],
+    )
+    @pytest.mark.parametrize("b", [True, False])
+    def test_rejects_bools(self, call, b):
+        with pytest.raises(OrdinalError):
+            call(b)
 
 
 def _rebuilt(a):
