@@ -54,6 +54,11 @@ class FiniteBTree:
     def __setattr__(self, name, value):
         raise AttributeError("FiniteBTree is immutable")
 
+    def __reduce__(self):
+        # rebuilt by the constructor: the immutable __setattr__ refuses the
+        # default slot-by-slot restore of pickle and copy
+        return FiniteBTree, (self._nodes,)
+
     @classmethod
     def closure(cls, paths: Iterable[NodePath]) -> "FiniteBTree":
         """The smallest B-tree containing the given paths."""

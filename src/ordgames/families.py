@@ -82,6 +82,9 @@ class TruncationBudget:
     def __setattr__(self, name, value):
         raise AttributeError("TruncationBudget is immutable")
 
+    def __reduce__(self):  # for pickle and copy, as FiniteBTree's
+        return TruncationBudget, (self.max_n, self.max_depth)
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

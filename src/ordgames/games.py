@@ -168,6 +168,9 @@ class ModelSpace:
     def __setattr__(self, name, value):
         raise AttributeError("ModelSpace is immutable")
 
+    def __reduce__(self):  # for pickle and copy, as FiniteBTree's
+        return ModelSpace, tuple(getattr(self, f) for f in self._FIELDS)
+
     def __eq__(self, other):
         return isinstance(other, ModelSpace) and all(
             getattr(self, f) == getattr(other, f) for f in self._FIELDS
@@ -261,6 +264,9 @@ class GameSpec:
 
     def __setattr__(self, name, value):
         raise AttributeError("GameSpec is immutable")
+
+    def __reduce__(self):  # for pickle and copy, as FiniteBTree's
+        return GameSpec, tuple(getattr(self, f) for f in self._FIELDS)
 
     def __eq__(self, other):
         return isinstance(other, GameSpec) and all(

@@ -1,9 +1,11 @@
 """Exact arithmetic for ordinals below epsilon_0 in Cantor normal form.
 
-An ordinal is stored as a tuple of (exponent, coefficient) pairs with
-strictly decreasing exponents, each exponent itself an ordinal of smaller
-height.  The empty tuple is 0.  All operations are exact; coefficients are
-arbitrary-precision ints.
+An ``Ordinal`` is the tuple of its (exponent, coefficient) pairs, with
+strictly decreasing exponents, each itself an ``Ordinal`` of smaller height;
+the empty tuple is 0.  All operations are exact; coefficients are
+arbitrary-precision ints.  An ``Ordinal`` equals and hashes like its term
+tuple.  The hash is tuple's, in C and never stored: building an ``Ordinal``
+computes none, and a label, path or history hashes with no Python call.
 
 Text syntax (accepted by ``Ordinal(...)`` and emitted by ``str``):
 
@@ -17,8 +19,10 @@ rather than rejected.
 ``Ordinal(...)`` is the one checked entry point, for outside input: an int,
 CNF text, or an iterable of (exponent, coefficient) pairs, whose exponents
 must strictly decrease and whose coefficients must be ints >= 1; anything
-else, a bool among it, raises ``OrdinalError``.  Comparisons coerce ints
-but not bools.  Copying an ``Ordinal`` reuses its terms and hash.
+else, a bool among it, raises ``OrdinalError``; ``Ordinal(o) is o``.
+Comparisons coerce ints but not bools.  Order, ``+`` and ``*`` take
+ordinals and ints only: a plain tuple operand raises TypeError rather than
+meeting tuple's own order, concatenation or repetition.
 ``compare``, ``omega_pow``, ``omega_mul``, ``subtract_left`` and
 ``quot_rem_omega_pow`` use an ``Ordinal`` argument as it is, with no copy,
 and read an int or CNF text through the checked constructor.  Terms
@@ -61,86 +65,77 @@ _TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
 _MAX_NESTING = 300
 
 
-class Ordinal:
-    """An ordinal < epsilon_0 in Cantor normal form.  Immutable and hashable."""
+class Ordinal(tuple):
+    """An ordinal < epsilon_0: the tuple of its CNF terms.  Immutable, and
+    equal and hashed like that tuple."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ()
 
-    _terms: Tuple[Tuple["Ordinal", int], ...]
-    _hash: int
-
-    def __init__(self, value: Union[OrdinalLike, Iterable[Tuple["Ordinal", int]]] = ()):
+    def __new__(cls, value: Union[OrdinalLike, Iterable[Tuple["Ordinal", int]]] = ()):
         if isinstance(value, Ordinal):
-            _set_terms(self, value._terms)
-            _set_hash(self, value._hash)
-            return
+            return value
         if _is_int(value):
             if value < 0:
                 raise OrdinalError("ordinals are nonnegative")
-            terms = ((ZERO, value),) if value else ()
-        elif isinstance(value, str):
-            terms = _parse(value)._terms
-        else:
-            try:
-                pairs = [(e, c) for e, c in value]
-            except (TypeError, ValueError):
-                raise OrdinalError(
-                    f"not an ordinal, an int, CNF text or (exponent, coefficient) pairs: {value!r}"
-                ) from None
-            if not all(_is_int(c) for _, c in pairs):
-                raise OrdinalError("coefficients must be ints")
-            terms = tuple((Ordinal(e), int(c)) for e, c in pairs)
-            for (e1, _), (e2, _) in zip(terms, terms[1:]):
-                if not e1 > e2:
-                    raise OrdinalError("exponents must strictly decrease")
-            if any(c < 1 for _, c in terms):
-                raise OrdinalError("coefficients must be >= 1")
-        _set_terms(self, terms)
-        _set_hash(self, hash(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ordinal is immutable")
+            return _from_cnf(((ZERO, value),)) if value else ZERO
+        if isinstance(value, str):
+            return _parse(value)
+        try:
+            pairs = [(e, c) for e, c in value]
+        except (TypeError, ValueError):
+            raise OrdinalError(
+                f"not an ordinal, an int, CNF text or (exponent, coefficient) pairs: {value!r}"
+            ) from None
+        if not all(_is_int(c) for _, c in pairs):
+            raise OrdinalError("coefficients must be ints")
+        terms = tuple((Ordinal(e), int(c)) for e, c in pairs)
+        for (e1, _), (e2, _) in zip(terms, terms[1:]):
+            if not e1 > e2:
+                raise OrdinalError("exponents must strictly decrease")
+        if any(c < 1 for _, c in terms):
+            raise OrdinalError("coefficients must be >= 1")
+        return _from_cnf(terms)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def terms(self) -> Tuple[Tuple["Ordinal", int], ...]:
-        return self._terms
+        return self
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self
 
     @property
     def is_finite(self) -> bool:
-        return not self._terms or self._terms[0][0].is_zero
+        return not self or not self[0][0]
 
     @property
     def is_limit(self) -> bool:
         """True iff nonzero with no trailing finite part."""
-        return bool(self._terms) and not self._terms[-1][0].is_zero
+        return bool(self) and bool(self[-1][0])
 
     @property
     def is_successor(self) -> bool:
-        return bool(self._terms) and self._terms[-1][0].is_zero
+        return bool(self) and not self[-1][0]
 
     @property
     def leading_exponent(self) -> "Ordinal":
-        if not self._terms:
+        if not self:
             raise OrdinalError("0 has no leading exponent")
-        return self._terms[0][0]
+        return self[0][0]
 
     def as_int(self) -> int:
         if not self.is_finite:
             raise OrdinalError(f"{self} is infinite")
-        return self._terms[0][1] if self._terms else 0
+        return self[0][1] if self else 0
 
     def pred(self) -> "Ordinal":
         """The predecessor; defined only for successor ordinals."""
         if not self.is_successor:
             raise OrdinalError(f"{self} is not a successor")
-        e, c = self._terms[-1]
-        rest = self._terms[:-1]
+        e, c = self[-1]
+        rest = self[:-1]
         return _from_cnf(rest + ((e, c - 1),) if c > 1 else rest)
 
     # -- comparison --------------------------------------------------------
@@ -148,24 +143,29 @@ class Ordinal:
     def _cmp(self, other: "Ordinal") -> int:
         if self is other:
             return 0
-        for (e1, c1), (e2, c2) in zip(self._terms, other._terms):
+        for (e1, c1), (e2, c2) in zip(self, other):
             c = e1._cmp(e2)
             if c:
                 return c
             if c1 != c2:
                 return -1 if c1 < c2 else 1
-        n1, n2 = len(self._terms), len(other._terms)
+        n1, n2 = len(self), len(other)
         return 0 if n1 == n2 else (-1 if n1 < n2 else 1)
 
-    # Python's default __ne__ negates this
+    # __eq__ and __ne__ replace tuple's, so that an int is coerced:
+    # Ordinal(4) == 4 and not Ordinal(4) != 4.  A plain tuple is left to
+    # tuple's __eq__.
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if type(other) is not Ordinal:
-            other = _coerce(other)
-            if other is None:
+            if not _is_int(other):
                 return NotImplemented
-        return self._hash == other._hash and self._terms == other._terms
+            other = Ordinal(other)
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
@@ -183,11 +183,8 @@ class Ordinal:
         other = _coerce(other)
         return NotImplemented if other is None else self._cmp(other) >= 0
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+    # tuple's hash, in C: the hash of the term tuple, not stored
+    __hash__ = tuple.__hash__
 
     # -- arithmetic --------------------------------------------------------
 
@@ -195,22 +192,21 @@ class Ordinal:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other._terms:
+        if not other:
             return self
-        if not self._terms:
+        if not self:
             return other
-        e = other._terms[0][0]
+        e = other[0][0]
         keep, order = 0, -1
-        while keep < len(self._terms):
-            order = self._terms[keep][0]._cmp(e)
+        while keep < len(self):
+            order = self[keep][0]._cmp(e)
             if order <= 0:
                 break
             keep += 1
-        head = self._terms[:keep]
+        head = self[:keep]
         if order == 0:
-            merged = (e, self._terms[keep][1] + other._terms[0][1])
-            return _from_cnf(head + (merged,) + other._terms[1:])
-        return _from_cnf(head + other._terms)
+            return _from_cnf(head + ((e, self[keep][1] + other[0][1]),) + other[1:])
+        return _from_cnf(head + other[0:])  # plain: head + other would call other.__radd__
 
     def __radd__(self, other) -> "Ordinal":
         other = _coerce(other)
@@ -219,22 +215,26 @@ class Ordinal:
     def __mul__(self, n) -> "Ordinal":
         """Right multiplication by a natural number (self * n)."""
         if not isinstance(n, int):
-            return NotImplemented
+            raise TypeError(f"an ordinal times {type(n).__name__!r}: only self * int is defined")
         if n < 0:
             raise OrdinalError("cannot multiply an ordinal by a negative int")
-        if n == 0 or not self._terms:
+        if n == 0 or not self:
             return ZERO
-        e, c = self._terms[0]
-        return _from_cnf(((e, c * n),) + self._terms[1:])
+        e, c = self[0]
+        return _from_cnf(((e, c * n),) + self[1:])
+
+    def __rmul__(self, n):
+        # without it, n * self would fall through to tuple repetition
+        raise TypeError(f"{type(n).__name__!r} times an ordinal: only self * int is defined")
 
     # -- text --------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self:
             return "0"
         parts = []
-        for e, c in self._terms:
-            if e.is_zero:
+        for e, c in self:
+            if not e:
                 parts.append(str(c))
                 continue
             base = "w" if e == ONE else f"w^({e})"
@@ -245,19 +245,10 @@ class Ordinal:
         return f"Ordinal({str(self)!r})"
 
 
-# The slot descriptors write past the immutable __setattr__, a little faster
-# than object.__setattr__.
-_set_terms = Ordinal._terms.__set__
-_set_hash = Ordinal._hash.__set__
-
-
 def _from_cnf(terms: Tuple[Tuple[Ordinal, int], ...]) -> Ordinal:
     """Trusted builder: ``terms`` must already be a CNF term tuple (Ordinal
     exponents strictly decreasing, int coefficients >= 1).  Nothing is checked."""
-    value = object.__new__(Ordinal)
-    _set_terms(value, terms)
-    _set_hash(value, hash(terms))
-    return value
+    return tuple.__new__(Ordinal, terms)
 
 
 def _is_int(value) -> bool:
@@ -265,16 +256,21 @@ def _is_int(value) -> bool:
 
 
 def _coerce(value) -> "Ordinal | None":
+    """An ``Ordinal`` or an int as an ``Ordinal``, None for other operands.
+    A plain tuple raises TypeError: else tuple's own order, concatenation
+    and repetition would answer for it."""
     if isinstance(value, Ordinal):
         return value
     if _is_int(value):
         return Ordinal(value)
+    if isinstance(value, tuple):
+        raise TypeError(f"not an ordinal or an int: {value!r}")
     return None
 
 
 def _ordinal(value: OrdinalLike) -> Ordinal:
-    """An ``Ordinal`` argument as it is; anything else through the checked
-    constructor."""
+    """``Ordinal(value)``; an ``Ordinal`` argument is returned as it is
+    without the class call, about three times faster."""
     return value if isinstance(value, Ordinal) else Ordinal(value)
 
 
@@ -294,25 +290,24 @@ def omega_pow(x: OrdinalLike) -> Ordinal:
 
 def omega_mul(a: OrdinalLike) -> Ordinal:
     """Left multiplication omega * a, via the exponent shift e -> 1 + e."""
-    return _from_cnf(tuple((ONE + e, c) for e, c in _ordinal(a).terms))
+    return _from_cnf(tuple((ONE + e, c) for e, c in _ordinal(a)))
 
 
 def subtract_left(g: OrdinalLike, b: OrdinalLike) -> Ordinal:
     """The unique d with g + d == b.  Requires g <= b."""
     g, b = _ordinal(g), _ordinal(b)
-    gt, bt = g.terms, b.terms
-    for i, (tg, tb) in enumerate(zip(gt, bt)):
+    for i, (tg, tb) in enumerate(zip(g, b)):
         if tg == tb:
             continue
         (eg, cg), (eb, cb) = tg, tb
         if eg == eb and cg < cb:
-            return _from_cnf(((eb, cb - cg),) + bt[i + 1:])
+            return _from_cnf(((eb, cb - cg),) + b[i + 1:])
         if eg < eb:
-            return _from_cnf(bt[i:])
+            return _from_cnf(b[i:])
         raise OrdinalError(f"{g} > {b}: no left difference")
-    if len(gt) > len(bt):
+    if len(g) > len(b):
         raise OrdinalError(f"{g} > {b}: no left difference")
-    return _from_cnf(bt[len(gt):])
+    return _from_cnf(b[len(g):])
 
 
 def quot_rem_omega_pow(
@@ -327,14 +322,14 @@ def quot_rem_omega_pow(
     """
     a, g = _ordinal(a), _ordinal(g)
     high = []
-    split = len(a.terms)
-    for i, (e, c) in enumerate(a.terms):
+    split = len(a)
+    for i, (e, c) in enumerate(a):
         if e._cmp(g) >= 0:
             high.append((subtract_left(g, e), c))
         else:
             split = i
             break
-    q, r = _from_cnf(tuple(high)), _from_cnf(a.terms[split:])
+    q, r = _from_cnf(tuple(high)), _from_cnf(a[split:])
     if not remainder_in_half_open_above:
         return q, r
     if a.is_zero:

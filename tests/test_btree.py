@@ -1,7 +1,9 @@
+import copy
 import json
+import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import finite_btrees
 from ordgames.btree import FiniteBTree, path_from_text, path_to_text, verify_monotone_map
@@ -146,3 +148,9 @@ class TestJson:
     def test_path_text_round_trip(self):
         assert path_to_text(P("w+1,3")) == "w+1,3"
         assert P("") == ()
+
+    @settings(max_examples=50)
+    @given(finite_btrees())
+    def test_pickle_and_copy_round_trip(self, tree):
+        for restore in (lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy):
+            assert restore(tree) == tree

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordgames import cli
 
@@ -385,6 +389,54 @@ class TestGame:
         code, out, _ = run_cli(capsys, "game", "build", "0", "-", "--max-n", "1")
         assert code == 0
         assert json.loads(out)["weights"] == {"1": "1/1"}
+
+
+# CNF-like argument text: random strings over the CNF alphabet, and
+# near-CNF strings with random exponents, coefficients and tails
+CNF_TEXT = st.one_of(
+    st.text(alphabet="w^*+()0123456789 ,", max_size=14),
+    st.from_regex(r"\Aw(\^\(?[w0-9+]{1,4}\)?)?(\*[0-9]{1,2})?(\+[0-9w]{1,3}){0,2}\Z"),
+)
+
+FUZZ_ARGV = st.one_of(
+    st.tuples(st.just("ord"), st.sampled_from(["add", "cmp", "mul", "quotrem"]), CNF_TEXT, CNF_TEXT),
+    st.tuples(st.just("ord"), st.just("pow"), CNF_TEXT),
+    st.tuples(
+        st.just("family"), st.sampled_from(["member", "rank"]), st.sampled_from(["T", "Gamma"]), CNF_TEXT, CNF_TEXT
+    ),
+    # the number of root labels grows as max_n to the power of the index's
+    # finite part, and no budget caps it yet: --max-n 1 keeps each call small
+    st.tuples(
+        st.just("family"), st.just("children"), st.sampled_from(["T", "Gamma"]), CNF_TEXT, CNF_TEXT,
+        st.just("--max-n"), st.just("1"),
+    ),
+)
+
+
+class TestFuzz:
+    """``cli.run`` on random argument text: exit 0, 1 or 2, never a
+    traceback, and a domain error is one line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(FUZZ_ARGV)
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.run(list(argv))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code == 0:
+            assert err == "", (argv, err)
+        elif code == 1:
+            assert (out.getvalue(), err.startswith("error: "), err.count("\n")) == ("", True, 1), (argv, err)
+        else:  # the usage text, then one error line
+            lines = err.splitlines()
+            assert lines[-1].startswith("ordgames ") and ": error: " in lines[-1], (argv, err)
+            assert sum(": error: " in line for line in lines) == 1, (argv, err)
 
 
 class TestConsoleScript:

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import sys
 from fractions import Fraction
 
@@ -44,6 +46,11 @@ class TestBudget:
             budget.max_n = 4
         with pytest.raises(TypeError):
             B(None)
+
+    def test_pickle_and_copy_round_trip(self):
+        budget = B(3, max_depth=9)
+        for restore in (lambda b: pickle.loads(pickle.dumps(b)), copy.deepcopy, copy.copy):
+            assert restore(budget) == budget and hash(restore(budget)) == hash(budget)
 
     @pytest.mark.parametrize("bad", [2.5, True, False, "3", None, 3.0])
     def test_rejects_what_is_not_an_int(self, bad):

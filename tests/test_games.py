@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -769,6 +771,15 @@ class TestJsonRoundTrip:
             assert restored.player == strategy.player
             assert restored.moves == strategy.moves
             assert verify_strategy(game, restored)
+
+    def test_pickle_and_copy_round_trip(self):
+        rng = random.Random(7070)
+        for _ in range(6):
+            game = random_game(rng)
+            for restore in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy):
+                assert restore(game.model) == game.model
+                assert restore(game) == game
+                assert solve(restore(game)) == solve(game)
 
 
 def _outcome(function, *args):

@@ -1,3 +1,10 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,3 +390,72 @@ class TestTrustedConstruction:
         with pytest.raises(AttributeError):
             b._hash = 0
         assert b == a
+
+
+def _plain(a):
+    """The nested term tuple of ``a``, with no ``Ordinal`` left in it."""
+    return tuple((_plain(e), c) for e, c in a)
+
+
+class TestTupleRepresentation:
+    """An ``Ordinal`` is its term tuple: it hashes like that tuple, the same
+    in every process, and survives pickle and copy."""
+
+    @given(ordinals(height=3))
+    def test_is_its_term_tuple(self, a):
+        assert hash(a) == hash(_plain(a))
+        assert Ordinal(a) is a and a.terms is a
+
+    def test_hash_independent_of_hash_seed(self):
+        texts = ["0", "1", "w", "w^(w+1)*3+w*2+5", "w^(w^(w))*7+w^3+12"]
+        script = (
+            "import sys\nfrom ordgames.ordinal import Ordinal\n"
+            "print([hash(Ordinal(t)) for t in sys.argv[1:]])"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script, *texts], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.add(done.stdout)
+        assert outputs == {f"{[hash(Ordinal(t)) for t in texts]}\n"}
+
+    @settings(max_examples=50)
+    @given(ordinals(height=3), ordinals(height=2), st.integers(0, 5))
+    def test_pickle_and_copy_round_trip(self, a, b, protocol):
+        path = (a, b, a)
+        for restore in (lambda x: pickle.loads(pickle.dumps(x, protocol)), copy.deepcopy, copy.copy):
+            assert restore(a) == a and hash(restore(a)) == hash(a)
+            assert type(restore(a)) is Ordinal
+            assert restore(path) == path and hash(restore(path)) == hash(path)
+
+
+class TestOperatorContract:
+    """Ordinals order, add and multiply with ordinals and ints only: tuple's
+    own order, concatenation and repetition never answer for them."""
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            lambda: 3 * OMEGA,
+            lambda: OMEGA * OMEGA,
+            lambda: (1,) + OMEGA,
+            lambda: OMEGA + (1,),
+            lambda: OMEGA < (1,),
+            lambda: () + OMEGA,
+            lambda: OMEGA >= (),
+            lambda: () < OMEGA,
+            lambda: OMEGA * 2.0,
+            lambda: OMEGA + True,
+        ],
+    )
+    def test_type_errors(self, expr):
+        with pytest.raises(TypeError):
+            expr()
+
+    def test_ints_coerce(self):
+        assert not Ordinal(4) != 4 and Ordinal(4) == 4
+        assert 4 != OMEGA and not OMEGA == 4
+        assert 1 + OMEGA == OMEGA and OMEGA + 1 > OMEGA > 4
