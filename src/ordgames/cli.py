@@ -253,9 +253,12 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the Gamma reader and walk recurse once per index level, so a Gamma
+        # the Gamma step and walk recurse once per index level, so a Gamma
         # index (or a path's component) a few hundred levels deep ends here
         print("error: input nested too deeply to evaluate", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return 0
 

@@ -23,13 +23,16 @@ inner label) by division by omega^sigma with remainders taken in
 of the successor family at zeta + 1 shifted by omega^zeta; the component of
 a path is recovered from its first label.
 
-A member's reading (``_Reading``) holds what its maximality, rank, weights
-and the labels one step below it need.  The walk that ``truncate`` and the
-branch enumerations share carries every node's reading down from its
-parent's, with O(1) ordinal operations per index level, and touches no
-cache.  A point query reads its path once with the recursive reader
-``_gamma_read``, which keeps the module's one path-keyed cache (65,536
-entries) for point queries only: blocks recur across the paths queried.
+A member's state is what its family needs of it to go on below it: its
+last label in T, and in Gamma its reading (``_Reading``), which holds what
+its maximality, rank, weight and the labels one step below it need.  Each
+family has one child rule, ``_step``, that gives a child's state from its
+parent's and its label; a point query folds it over its path, one label at
+a time.  The walk that ``truncate`` and the branch enumerations share builds
+the children forwards (``_roots``/``_below``), every node's state from its
+parent's with O(1) ordinal operations per index level, and touches no cache.
+The Gamma step keeps the module's one point-query cache (65,536 entries):
+readings recur across the paths queried.
 """
 
 from __future__ import annotations
@@ -110,14 +113,15 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
 class _Family:
     """Shared validation and enumeration.
 
-    Subclasses define ``member``, ``rank`` and four hooks over the state of a
-    member node, which is what the family needs to know of the node to go on
-    below it: ``_state(path)`` reads it from a path (and raises ValueError
-    for a non-member), ``_roots(budget)`` gives the (label, state) pairs of
-    the one-label members, ``_below(state, budget)`` the pairs one step
-    below a member, and ``_leaf(state)`` says whether the member is maximal.
-    The walk carries every node's state down from its parent's, so it reads
-    no path; the public queries read theirs once.
+    Subclasses define ``rank`` and four hooks over the state of a member
+    node, which is what the family needs to know of the node to go on below
+    it: ``_roots(budget)`` gives the (label, state) pairs of the one-label
+    members, ``_below(state, budget)`` the pairs one step below a member,
+    ``_step(state, label)`` runs these two backwards (the state of the child
+    ``label``, None where it is no member; state None is the virtual root),
+    and ``_leaf(state)`` says whether the member is maximal.  The public
+    queries fold ``_step`` over their path; the walk carries every node's
+    state down from its parent's, so it reads no path.
     """
 
     kind: str
@@ -128,26 +132,24 @@ class _Family:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.xi})"
 
+    def _read(self, path: NodePath) -> list:
+        """The states of the nonempty prefixes of ``path``; [] for a non-member."""
+        states, state = [], None
+        for label in path:
+            state = self._step(state, label)
+            if state is None:
+                return []
+            states.append(state)
+        return states
+
+    def _states(self, path: NodePath) -> list:
+        states = self._read(path)
+        if not states:
+            raise ValueError(f"{path_to_text(tuple(path))} is not a member of {self!r}")
+        return states
+
     def member(self, path: NodePath) -> bool:
-        raise NotImplementedError
-
-    def rank(self, path: NodePath) -> Ordinal:
-        raise NotImplementedError
-
-    def _state(self, path: NodePath):
-        raise NotImplementedError
-
-    def _roots(self, budget: TruncationBudget) -> list:
-        raise NotImplementedError
-
-    def _below(self, state, budget: TruncationBudget) -> list:
-        raise NotImplementedError
-
-    def _leaf(self, state) -> bool:
-        raise NotImplementedError
-
-    def _not_member(self, path: NodePath) -> ValueError:
-        return ValueError(f"{path_to_text(path)} is not a member of {self!r}")
+        return bool(self._read(path))
 
     def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
         return [label for label, _ in self._roots(budget)]
@@ -157,10 +159,10 @@ class _Family:
         path = tuple(path)
         if not path:
             return self.root_labels(budget)
-        return [label for label, _ in self._below(self._state(path), budget)]
+        return [label for label, _ in self._below(self._states(path)[-1], budget)]
 
     def is_maximal(self, path: NodePath) -> bool:
-        return self._leaf(self._state(path))
+        return self._leaf(self._states(path)[-1])
 
     def _walk(self, budget: TruncationBudget) -> Iterator[tuple]:
         # pre-order over (path, state) on an explicit stack; a node's
@@ -194,22 +196,9 @@ class TFamily(_Family):
 
     kind = "T"
 
-    def member(self, path: NodePath) -> bool:
-        xi = self.xi
-        for label in path:
-            if not (label.is_successor and (label == xi or (xi.is_limit and label < xi))):
-                return False
-            xi = label.pred()
-        return len(path) > 0
-
-    def _require_member(self, path: NodePath) -> NodePath:
-        path = tuple(path)
-        if not self.member(path):
-            raise self._not_member(path)
-        return path
-
-    def _state(self, path: NodePath) -> Ordinal:
-        return self._require_member(path)[-1]
+    def _step(self, above: Optional[Ordinal], label: Ordinal) -> Optional[Ordinal]:
+        xi = self.xi if above is None else above.pred()
+        return label if label.is_successor and (label == xi or (xi.is_limit and label < xi)) else None
 
     def _roots(self, budget: TruncationBudget) -> List[Tuple[Ordinal, Ordinal]]:
         xi = self.xi
@@ -226,17 +215,17 @@ class TFamily(_Family):
         return label == ONE
 
     def rank(self, path: NodePath) -> Ordinal:
-        return self._state(path).pred()
+        return self._states(path)[-1].pred()
 
 
 class GammaFamily(_Family):
     """The weighted tree of order omega^xi.
 
-    A node's state is its ``_Reading``.  The walk builds each child's reading
-    from its parent's with O(1) ordinal operations per index level, and
-    ``_gamma_read`` reads the path of a point query.  At a successor
-    sigma + 1 the family keeps sigma and the block unit omega^sigma; a
-    component of a limit is such a family, and its unit is its shift.
+    A node's state is its ``_Reading``.  At a successor sigma + 1 the family
+    keeps sigma and the block unit omega^sigma; a component of a limit is
+    such a family, and its unit is its shift.  ``_step`` splits a label into
+    its block quotient and its label in the block, or strips the label of
+    its component's unit, and steps once in Gamma one index level down.
     """
 
     kind = "Gamma"
@@ -247,15 +236,41 @@ class GammaFamily(_Family):
             self._sigma = self.xi.pred()
             self._unit = omega_pow(self._sigma)
 
-    def member(self, path: NodePath) -> bool:
-        return _gamma_read(self.xi, tuple(path)) is not None
-
-    def _state(self, path: NodePath) -> _Reading:
-        path = tuple(path)
-        reading = _gamma_read(self.xi, path)
-        if reading is None:
-            raise self._not_member(path)
-        return reading
+    # the one point-query cache: readings recur across the paths queried
+    @lru_cache(maxsize=1 << 16)
+    def _step(self, reading: Optional[_Reading], label: Ordinal) -> Optional[_Reading]:
+        xi = self.xi
+        if xi.is_zero:
+            return _GAMMA_0 if reading is None and label == ONE else None
+        if xi.is_successor:
+            try:
+                q, r = quot_rem_omega_pow(label, self._sigma, remainder_in_half_open_above=True)
+                q = q.as_int()  # an infinite quotient is no block index
+            except OrdinalError:
+                return None
+            if reading is None:  # the first block, whose quotient is n - 1
+                block, n = None, q + 1
+            else:
+                q_last, block, n = reading.inner
+                if block.maximal:  # only the next block may open
+                    block, q_last = None, q_last - 1
+                if q != q_last:
+                    return None
+            block = gamma_family(self._sigma)._step(block, r)
+            return None if block is None else _in_block(q, block, n)
+        if reading is not None:
+            component, stripped = reading.inner
+        elif label.is_zero or not label.leading_exponent < xi:
+            return None
+        else:
+            # Gamma at zeta + 1 has its labels in [1, omega^(zeta + 1)), so
+            # shifting them by omega^zeta keeps the leading exponent zeta
+            component, stripped = gamma_family(label.leading_exponent + 1), None
+        try:
+            stripped = component._step(stripped, subtract_left(component._unit, label))
+        except OrdinalError:
+            return None
+        return None if stripped is None else _in_component(component, stripped)
 
     def _roots(self, budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
         # sorted as built: block n's labels lie in (unit * n, unit * (n + 1)],
@@ -265,7 +280,7 @@ class GammaFamily(_Family):
             return [(ONE, _GAMMA_0)]
         if xi.is_successor:
             unit, block_roots = self._unit, gamma_family(self._sigma)._roots(budget)
-            return [(unit * q + r, _in_block(q, s, q + 1, ())) for q in range(budget.max_n) for r, s in block_roots]
+            return [(unit * q + r, _in_block(q, s, q + 1)) for q in range(budget.max_n) for r, s in block_roots]
         out = []
         for k in range(budget.max_n):
             component = gamma_family(_fundamental(xi, k) + 1)
@@ -285,8 +300,8 @@ class GammaFamily(_Family):
                 pairs = sub._roots(budget)
             else:
                 pairs = sub._below(last, budget)
-            base, head = self._unit * q, reading.denominators
-            return [(base + r, _in_block(q, s, n, head)) for r, s in pairs]
+            base = self._unit * q
+            return [(base + r, _in_block(q, s, n)) for r, s in pairs]
         component, stripped = reading.inner
         shift = component._unit
         return [(shift + r, _in_component(component, s)) for r, s in component._below(stripped, budget)]
@@ -298,7 +313,7 @@ class GammaFamily(_Family):
         # below a node of block q lie the rest of its block and q whole blocks
         # of order omega^sigma; ordinal addition is associative, so the terms
         # are summed from the outermost index level in
-        family, reading, rank = self, self._state(path), ZERO
+        family, reading, rank = self, self._states(path)[-1], ZERO
         while not family.xi.is_zero:
             if family.xi.is_successor:
                 q, reading, _ = reading.inner
@@ -312,11 +327,11 @@ class GammaFamily(_Family):
 
     def weight(self, path: NodePath) -> Fraction:
         """The exact rational weight of a member node."""
-        return Fraction(1, self._state(path).denominators[-1])
+        return self._states(path)[-1].weight
 
     def prefix_weights(self, path: NodePath) -> Tuple[Fraction, ...]:
         """Weights of every nonempty prefix of ``path``, in order."""
-        return _weights(self._state(path))
+        return tuple(reading.weight for reading in self._states(path))
 
     def branch_weight_sum(self, path: NodePath) -> Tuple[Fraction, bool]:
         """Sum of prefix weights plus a flag: True iff the branch is maximal.
@@ -324,23 +339,29 @@ class GammaFamily(_Family):
         The sum equals 1 exactly when the flag is True; otherwise it is the
         partial sum along a non-maximal path.
         """
-        reading = self._state(path)
-        return sum(_weights(reading), Fraction(0)), reading.maximal
+        states = self._states(path)
+        return sum((reading.weight for reading in states), Fraction(0)), states[-1].maximal
 
     def node_weights(self, budget: TruncationBudget) -> Dict[NodePath, Fraction]:
         """Every node of ``truncate(budget)`` with its weight, from one walk."""
-        return {path: Fraction(1, reading.denominators[-1]) for path, reading in self._walk(budget)}
+        return {path: reading.weight for path, reading in self._walk(budget)}
 
     def weighted_branches(self, budget: TruncationBudget) -> Iterator[Tuple[NodePath, Tuple[Fraction, ...]]]:
         """``maximal_branches`` with the prefix weights of each, from one walk."""
-        return ((path, _weights(reading)) for path, reading in self._walk(budget) if reading.maximal)
+        prefixes: List[_Reading] = []  # the path's readings: the walk is pre-order
+        for path, reading in self._walk(budget):
+            prefixes[len(path) - 1 :] = [reading]
+            if reading.maximal:
+                yield path, tuple(prefix.weight for prefix in prefixes)
 
 
 class _Reading(NamedTuple):
-    """A member of a Gamma family as its walk and its queries see it."""
+    """A member of a Gamma family as its walk and its queries see it: all
+    that its children, maximality, rank and weight depend on, and nothing
+    that grows with its length."""
 
     maximal: bool
-    denominators: Tuple[int, ...]  # prefix k weighs 1 / denominators[k]
+    denominator: int  # the node weighs 1 / denominator
     # for the labels below and the rank: () at 0; at a successor the last
     # block's quotient q, its reading in Gamma at the predecessor and the
     # block parameter n (the first block's quotient is n - 1); at a limit
@@ -348,75 +369,28 @@ class _Reading(NamedTuple):
     # stripped of omega^zeta
     inner: tuple
 
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(1, self.denominator)
 
-_GAMMA_0 = _Reading(True, (1,), ())
+
+_GAMMA_0 = _Reading(True, 1, ())
 
 
-def _in_block(q: int, block: _Reading, n: int, head: Tuple[int, ...]) -> _Reading:
-    """The reading of a node of block q, parameter n, whose block reads
-    ``block``, below a path whose denominators are ``head``."""
-    return _Reading(q == 0 and block.maximal, head + (block.denominators[-1] * n,), (q, block, n))
+def _in_block(q: int, block: _Reading, n: int) -> _Reading:
+    """The reading of a node of block q, parameter n, whose block reads ``block``."""
+    return _Reading(q == 0 and block.maximal, block.denominator * n, (q, block, n))
 
 
 def _in_component(component: GammaFamily, stripped: _Reading) -> _Reading:
     """The reading at a limit of a node of ``component``."""
-    return _Reading(stripped.maximal, stripped.denominators, (component, stripped))
+    return _Reading(stripped.maximal, stripped.denominator, (component, stripped))
 
 
-def _weights(reading: _Reading) -> Tuple[Fraction, ...]:
-    return tuple(Fraction(1, d) for d in reading.denominators)
-
-
-@lru_cache(maxsize=1 << 16)
 def _gamma_read(xi: Ordinal, path: NodePath) -> Optional[_Reading]:
-    """Read ``path`` in the Gamma family at ``xi``; None for a non-member.
-
-    At a successor, consecutive labels with equal quotient form a block,
-    and the block quotients must descend by one (to n - m >= 0 for m
-    blocks).  At a limit, the component zeta is the first label's leading
-    exponent: Gamma at zeta + 1 has its labels in [1, omega^(zeta + 1)), so
-    shifting them by omega^zeta keeps that exponent.
-    """
-    if not path:
-        return None
-    if xi.is_zero:
-        return _GAMMA_0 if path == (ONE,) else None
-    if xi.is_successor:
-        sigma = xi.pred()
-        blocks: List[List[Ordinal]] = []
-        q_last = -1
-        for label in path:
-            try:
-                q, r = quot_rem_omega_pow(label, sigma, remainder_in_half_open_above=True)
-                q = q.as_int()  # an infinite quotient is no block index
-            except OrdinalError:
-                return None
-            if q == q_last:
-                blocks[-1].append(r)
-            elif not blocks or q == q_last - 1:
-                blocks.append([r])
-                q_last = q
-            else:
-                return None
-        readings = [_gamma_read(sigma, tuple(block)) for block in blocks]
-        *head, last = readings
-        if last is None or not all(b is not None and b.maximal for b in head):
-            return None
-        n = q_last + len(blocks)
-        return _Reading(
-            q_last == 0 and last.maximal,
-            tuple(d * n for b in readings for d in b.denominators),
-            (q_last, last, n),
-        )
-    if path[0].is_zero or not path[0].leading_exponent < xi:
-        return None
-    component = gamma_family(path[0].leading_exponent + 1)
-    try:
-        stripped = tuple(subtract_left(component._unit, label) for label in path)
-    except OrdinalError:
-        return None
-    reading = _gamma_read(component.xi, stripped)
-    return None if reading is None else _in_component(component, reading)
+    """Read ``path`` in the Gamma family at ``xi``; None for a non-member."""
+    states = gamma_family(xi)._read(path)
+    return states[-1] if states else None
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +462,8 @@ def monotone_embedding(xi: Ordinal, gamma: Ordinal) -> Callable[[NodePath], Node
     source = t_family(xi)
 
     def phi(path: NodePath) -> NodePath:
-        path = source._require_member(path)
+        path = tuple(path)
+        source._states(path)
         return _inflate(path, xi, gamma)[: len(path)]
 
     return phi

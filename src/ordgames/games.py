@@ -574,14 +574,6 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
     if not 0 <= fallback_z < game.n_subspaces:
         raise ValueError("fallback subspace index out of range")
     moves = {tuple(k): tuple(v) for k, v in sub.moves.items()}
-    first = moves.get(())
-    if first is None:
-        raise ValueError("substrategy must prescribe the empty position")
-    zeta0, z0 = first
-    if zeta0 not in kids[0]:
-        raise ValueError("first move label is not a root of the tree")
-    if not 0 <= z0 < game.n_subspaces:
-        raise ValueError("first move subspace index out of range")
     for history, (zeta, zi) in moves.items():
         node = _node_id(game, _zproj(history))
         if history:

@@ -210,6 +210,15 @@ class TestFamily:
         else:
             assert len(json.loads(result.stdout)["nodes"]) == 900
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # a truncation too big for the address space ends in MemoryError
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_run_family", exhausted)
+        result = run_cli(capsys, "family", "truncate", "T", "w^(w)", "--max-n", "4")
+        assert result == (1, "", "error: out of memory\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

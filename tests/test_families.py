@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import ordinals
 from oracles import gamma1_members, gamma2_members_from_display, gamma_members, reference_walk, t_members
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
+    GammaFamily,
     TruncationBudget,
     _gamma_read,
     gamma_family,
@@ -305,12 +307,12 @@ class TestWalk:
     @given(walks())
     def test_leaves_the_point_query_cache_alone(self, walk):
         family, budget = walk
-        before = _gamma_read.cache_info()
+        before = GammaFamily._step.cache_info()
         family.truncate(budget)
         list(family.maximal_branches(budget))
         family.node_weights(budget)
         list(family.weighted_branches(budget))
-        assert _gamma_read.cache_info() == before
+        assert GammaFamily._step.cache_info() == before
 
     def test_t_family(self):
         for xi in (Ordinal(5), OMEGA * 2 + 3, omega_pow(2)):
@@ -344,6 +346,28 @@ class TestDeepT:
         assert tree == FiniteBTree.closure([chain])
         assert branches == [chain]
         assert queries == (True, ZERO, True, [], [ONE], deep[:-1])
+
+
+class TestLongGammaPath:
+    def test_reads_in_memory_independent_of_length(self):
+        # a point read steps one label at a time; what it keeps per label
+        # must not grow with the path, or a long path costs its square
+        chain = tuple(Ordinal(k) for k in range(3000, 0, -1))
+        swapped = chain[:-2] + (chain[-1], chain[-2])
+        tracemalloc.start()
+        try:
+            queries = (
+                G1.member(chain),
+                G1.weight(chain),
+                G1.branch_weight_sum(chain),
+                G1.rank(chain),
+                G1.member(swapped),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert queries == (True, Fraction(1, 3000), (Fraction(1), True), ZERO, False)
+        assert peak < 8 * 2**20, peak
 
 
 class TestChildren:
