@@ -25,12 +25,13 @@ a path is recovered from its first label.
 
 A member's state is what its family needs of it to go on below it: its
 last label in T, and in Gamma its reading (``_Reading``), which holds what
-its maximality, rank, weight and the labels one step below it need.  Each
-family has one child rule, ``_step``, that gives a child's state from its
-parent's and its label; a point query folds it over its path, one label at
-a time.  The walk that ``truncate`` and the branch enumerations share builds
-the children forwards (``_roots``/``_below``), every node's state from its
-parent's with O(1) ordinal operations per index level, and touches no cache.
+its maximality, rank, weight and the labels one step below it need; state
+None is the virtual root.  Each family has one child rule each way.
+``_step`` gives a child's state from its parent's and its label; a point
+query folds it over its path, one label at a time.  ``_below`` gives a
+node's children with their states; the walk that ``truncate`` and the
+branch enumerations share builds every node's state from its parent's with
+it, at O(1) ordinal operations per index level, and touches no cache.
 The Gamma step keeps the module's one point-query cache (65,536 entries):
 readings recur across the paths queried.
 """
@@ -113,13 +114,12 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
 class _Family:
     """Shared validation and enumeration.
 
-    Subclasses define ``rank`` and four hooks over the state of a member
+    Subclasses define ``rank`` and three hooks over the state of a member
     node, which is what the family needs to know of the node to go on below
-    it: ``_roots(budget)`` gives the (label, state) pairs of the one-label
-    members, ``_below(state, budget)`` the pairs one step below a member,
-    ``_step(state, label)`` runs these two backwards (the state of the child
-    ``label``, None where it is no member; state None is the virtual root),
-    and ``_leaf(state)`` says whether the member is maximal.  The public
+    it; state None is the virtual root.  ``_below(state, budget)`` gives the
+    (label, state) pairs one step below a node, ``_step(state, label)`` runs
+    it backwards (the state of the child ``label``, None where it is no
+    member), and ``_leaf(state)`` says whether a member is maximal.  The public
     queries fold ``_step`` over their path; the walk carries every node's
     state down from its parent's, so it reads no path.
     """
@@ -152,14 +152,12 @@ class _Family:
         return bool(self._read(path))
 
     def root_labels(self, budget: TruncationBudget) -> List[Ordinal]:
-        return [label for label, _ in self._roots(budget)]
+        return self.children((), budget)
 
     def children(self, path: NodePath, budget: TruncationBudget) -> List[Ordinal]:
         """Sorted labels extending ``path`` by one step (``()`` = virtual root)."""
-        path = tuple(path)
-        if not path:
-            return self.root_labels(budget)
-        return [label for label, _ in self._below(self._states(path)[-1], budget)]
+        state = self._states(path)[-1] if path else None
+        return [label for label, _ in self._below(state, budget)]
 
     def is_maximal(self, path: NodePath) -> bool:
         return self._leaf(self._states(path)[-1])
@@ -167,7 +165,7 @@ class _Family:
     def _walk(self, budget: TruncationBudget) -> Iterator[tuple]:
         # pre-order over (path, state) on an explicit stack; a node's
         # children are expanded only while its length is below max_depth
-        stack = [((label,), state) for label, state in reversed(self._roots(budget))]
+        stack = [((label,), state) for label, state in reversed(self._below(None, budget))]
         while stack:
             node = stack.pop()
             yield node
@@ -200,16 +198,13 @@ class TFamily(_Family):
         xi = self.xi if above is None else above.pred()
         return label if label.is_successor and (label == xi or (xi.is_limit and label < xi)) else None
 
-    def _roots(self, budget: TruncationBudget) -> List[Tuple[Ordinal, Ordinal]]:
-        xi = self.xi
+    def _below(self, above: Optional[Ordinal], budget: TruncationBudget) -> List[Tuple[Ordinal, Ordinal]]:
+        xi = self.xi if above is None else above.pred()
         if xi.is_zero:
             return []
         if xi.is_successor:
             return [(xi, xi)]
         return [(label, label) for label in (_fundamental(xi, k) + 1 for k in range(budget.max_n))]
-
-    def _below(self, label: Ordinal, budget: TruncationBudget) -> List[Tuple[Ordinal, Ordinal]]:
-        return t_family(label.pred())._roots(budget)
 
     def _leaf(self, label: Ordinal) -> bool:
         return label == ONE
@@ -272,36 +267,31 @@ class GammaFamily(_Family):
             return None
         return None if stripped is None else _in_component(component, stripped)
 
-    def _roots(self, budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
+    def _below(self, reading: Optional[_Reading], budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
         # sorted as built: block n's labels lie in (unit * n, unit * (n + 1)],
-        # and component zeta's in (omega^zeta, omega^(zeta + 1)]
+        # component zeta's in (omega^zeta, omega^(zeta + 1)], and shifting a
+        # sorted list on the left keeps it sorted.  A maximal reading has
+        # nothing below it, and every reading at 0 is maximal
         xi = self.xi
-        if xi.is_zero:
-            return [(ONE, _GAMMA_0)]
-        if xi.is_successor:
-            unit, block_roots = self._unit, gamma_family(self._sigma)._roots(budget)
-            return [(unit * q + r, _in_block(q, s, q + 1)) for q in range(budget.max_n) for r, s in block_roots]
-        out = []
-        for k in range(budget.max_n):
-            component = gamma_family(_fundamental(xi, k) + 1)
-            out += [(component._unit + r, _in_component(component, s)) for r, s in component._roots(budget)]
-        return out
-
-    def _below(self, reading: _Reading, budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
-        # a maximal reading has nothing below it, and every reading at 0 is
-        # maximal; shifting a sorted list on the left keeps it sorted
+        if reading is None:
+            if xi.is_zero:
+                return [(ONE, _GAMMA_0)]
+            if xi.is_successor:  # the first block, whose quotient is n - 1
+                unit, pairs = self._unit, gamma_family(self._sigma)._below(None, budget)
+                return [(unit * q + r, _in_block(q, s, q + 1)) for q in range(budget.max_n) for r, s in pairs]
+            out = []
+            for k in range(budget.max_n):
+                component = gamma_family(_fundamental(xi, k) + 1)
+                out += [(component._unit + r, _in_component(component, s)) for r, s in component._below(None, budget)]
+            return out
         if reading.maximal:
             return []
-        if self.xi.is_successor:
+        if xi.is_successor:
             q, last, n = reading.inner
-            sub = gamma_family(self._sigma)
-            if last.maximal:  # so q > 0: open the next block
-                q -= 1
-                pairs = sub._roots(budget)
-            else:
-                pairs = sub._below(last, budget)
+            if last.maximal:  # so q > 0: only the next block may open
+                q, last = q - 1, None
             base = self._unit * q
-            return [(base + r, _in_block(q, s, n)) for r, s in pairs]
+            return [(base + r, _in_block(q, s, n)) for r, s in gamma_family(self._sigma)._below(last, budget)]
         component, stripped = reading.inner
         shift = component._unit
         return [(shift + r, _in_component(component, s)) for r, s in component._below(stripped, budget)]
@@ -387,12 +377,6 @@ def _in_component(component: GammaFamily, stripped: _Reading) -> _Reading:
     return _Reading(stripped.maximal, stripped.denominator, (component, stripped))
 
 
-def _gamma_read(xi: Ordinal, path: NodePath) -> Optional[_Reading]:
-    """Read ``path`` in the Gamma family at ``xi``; None for a non-member."""
-    states = gamma_family(xi)._read(path)
-    return states[-1] if states else None
-
-
 @lru_cache(maxsize=None)
 def t_family(xi: Ordinal) -> TFamily:
     return TFamily(Ordinal(xi))
@@ -417,6 +401,8 @@ def family_from_json(data: Union[dict, str]) -> _Family:
     """Build a family from the descriptor {"kind": "T"|"Gamma", "xi": "<CNF>"}."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError("a family must be a JSON object")
     return make_family(data["kind"], Ordinal(data["xi"]))
 
 

@@ -90,7 +90,7 @@ def _dot(a: Vector, b: Vector) -> Fraction:
 def _rational(x) -> Fraction:
     try:
         return Fraction(x)
-    except (ZeroDivisionError, TypeError):
+    except (ZeroDivisionError, TypeError, OverflowError):
         raise ValueError(f"not a rational: {x!r}") from None
 
 
@@ -118,7 +118,7 @@ class ModelSpace:
     def __init__(self, dim, subspaces, compacts, functionals, epsilon, norm="max"):
         try:
             dim = int(dim)
-        except TypeError:
+        except (TypeError, OverflowError):
             raise ValueError(f"not an integer dim: {dim!r}") from None
         if dim < 1:
             raise ValueError("dim must be positive")

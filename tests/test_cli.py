@@ -1,13 +1,16 @@
 import contextlib
+import copy
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordgames import cli
@@ -384,6 +387,21 @@ class TestGame:
             result = run_cli(capsys, "game", verb, str(game_file), str(strategy_file))
             assert result == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [("functionals", '[[Infinity]]'), ("epsilon", "1e400"), ("dim", "-Infinity"), ("compacts", "[[[1e400]]]")],
+    )
+    def test_infinite_number_is_a_domain_error(self, capsys, tmp_path, key, text):
+        # JSON reads these numbers as float infinities, which no Fraction or int takes
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(dict(GAMMA1_MODEL, **{key: "@"})).replace('"@"', text))
+        assert_domain_error(run_cli(capsys, "game", "build", "1", str(model_file)))
+        game_file = self.build_game_file(capsys, tmp_path)
+        game = json.loads(game_file.read_text())
+        game["weights"]["1"] = "@"
+        game_file.write_text(json.dumps(game).replace('"@"', text))
+        assert_domain_error(run_cli(capsys, "game", "solve", str(game_file)))
+
     def test_solve_deterministic(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path, xi="2", max_n="2")
         first = run_cli(capsys, "game", "solve", str(game_file))
@@ -446,6 +464,95 @@ class TestFuzz:
             lines = err.splitlines()
             assert lines[-1].startswith("ordgames ") and ": error: " in lines[-1], (argv, err)
             assert sum(": error: " in line for line in lines) == 1, (argv, err)
+
+
+# A value put in place of one in a pipeline document: JSON numbers that
+# Python reads as non-finite floats (BIG is written as 1e400), other types,
+# bad CNF and a zero denominator; DROP deletes the key or element instead
+BIG, DROP = "@1e400@", "@drop@"
+BAD_VALUES = [float("inf"), float("-inf"), float("nan"), BIG, True, False, None, [], {}, "w^", "x+1", "", "1/0", DROP]
+
+# the verbs that read each document, which is kept in "<name>.json"
+READERS = {
+    "model": [["game", "build", "1", "model.json", "--max-n", "2"]],
+    "game": [["game", "solve", "game.json"]] + [["game", verb, "game.json", "solution.json"] for verb in ("verify", "extract")],
+    "solution": [["game", verb, "game.json", "solution.json"] for verb in ("verify", "extract")],
+    "tree": [["tree", verb, "tree.json"] for verb in ("validate", "order", "derive")],
+}
+
+
+@functools.cache
+def pipeline_documents():
+    """The W-szlenk Gamma_1@2 model, its game, the solver's output and the game's tree."""
+    from ordgames import games
+    from ordgames.families import TruncationBudget
+    from ordgames.ordinal import ONE
+
+    game = games.build_szlenk_game(ONE, TruncationBudget(2), games.model_from_json(W_SZLENK_MODEL))
+    winner, strategy = games.solve(game)
+    docs = {
+        "model": W_SZLENK_MODEL,
+        "game": games.game_to_json(game),
+        "solution": {"winner": winner, "strategy": games.strategy_to_json(strategy)},
+    }
+    docs["tree"] = docs["game"]["tree"]
+    return json.loads(json.dumps(docs))
+
+
+def json_locations(data, at=()):
+    """Every place in a JSON document, as the keys that lead to it."""
+    yield at
+    if isinstance(data, (dict, list)):
+        for key, value in data.items() if isinstance(data, dict) else enumerate(data):
+            yield from json_locations(value, at + (key,))
+
+
+@st.composite
+def mutations(draw):
+    name = draw(st.sampled_from(sorted(READERS)))
+    at = draw(st.sampled_from(list(json_locations(pipeline_documents()[name]))))
+    return name, at, draw(st.sampled_from(BAD_VALUES))
+
+
+def mutated_text(doc, at, value):
+    """``doc`` as JSON text, with ``value`` put in at ``at`` (or the value there dropped)."""
+    holder = [copy.deepcopy(doc)]  # so that the whole document can be replaced or dropped too
+    parent, key = holder, 0
+    for step in at:
+        parent, key = parent[key], step
+    if value == DROP:
+        del parent[key]
+    else:
+        parent[key] = value
+    return json.dumps(holder[0]).replace(json.dumps(BIG), "1e400") if holder else ""
+
+
+class TestJsonShapeFuzz:
+    """``cli.run`` on the documents of a W-szlenk pipeline with one value
+    changed or dropped: exit 0 or 1, never an exception, and a domain
+    error is one line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutations())
+    @example(("model", ("functionals", 0, 0), float("inf")))
+    @example(("model", ("epsilon",), BIG))
+    @example(("game", ("weights", "2"), float("-inf")))
+    def test_exit_code_contract(self, mutation):
+        name, at, value = mutation
+        docs = pipeline_documents()
+        with tempfile.TemporaryDirectory() as folder:
+            for doc in docs:
+                with open(os.path.join(folder, f"{doc}.json"), "w") as handle:
+                    handle.write(mutated_text(docs[doc], at, value) if doc == name else json.dumps(docs[doc]))
+            for verb in READERS[name]:
+                argv = [os.path.join(folder, word) if word.endswith(".json") else word for word in verb]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.run(argv)
+                err = err.getvalue()
+                assert code in (0, 1) and "Traceback" not in err, (mutation, verb, code, err)
+                if code == 1:
+                    assert (out.getvalue(), err.startswith("error: "), err.count("\n")) == ("", True, 1), (mutation, verb, err)
 
 
 class TestConsoleScript:

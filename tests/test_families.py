@@ -15,7 +15,6 @@ from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
     GammaFamily,
     TruncationBudget,
-    _gamma_read,
     gamma_family,
     make_family,
     monotone_embedding,
@@ -76,6 +75,13 @@ class TestBudget:
         budget = budget_from_json('{"max_n": 3, "max_depth": 9}')
         assert budget == B(3, max_depth=9)
         assert budget_from_json('{"max_n": 2}') == B(2)
+
+    @pytest.mark.parametrize("text", ["[1]", "5", '"T"', "null"])
+    def test_family_descriptor_must_be_an_object(self, text):
+        from ordgames.families import family_from_json
+
+        with pytest.raises(ValueError, match="a family must be a JSON object"):
+            family_from_json(text)
 
 
 class TestGammaMembership:
@@ -295,7 +301,7 @@ class TestWalk:
         family, budget = walk
         walked = list(family._walk(budget))
         for path, reading in walked:
-            assert reading == _gamma_read(family.xi, path), path
+            assert reading == family._read(path)[-1], path
         nodes, branches = reference_walk(family, budget)
         assert [path for path, _ in walked] == nodes
         assert family.truncate(budget) == FiniteBTree(nodes)

@@ -96,6 +96,16 @@ class TestModelSpace:
         with pytest.raises(ValueError):
             ModelSpace(2, [[]], [[["1"]]], [], HALF)  # wrong vector length
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["dim", "epsilon", "compacts", "functionals"])
+    def test_infinite_scalars_are_value_errors(self, field, value):
+        # JSON reads Infinity, -Infinity and 1e400 as these floats
+        args = dict(dim=1, subspaces=[[]], compacts=[[["1"]]], functionals=[["1"]], epsilon=HALF)
+        args[field] = {"compacts": [[[value]]], "functionals": [[value]]}.get(field, value)
+        message = {"dim": "not an integer dim"}.get(field, "not a rational")
+        with pytest.raises(ValueError, match=message):
+            ModelSpace(**args)
+
     def test_selection_set(self):
         model = ModelSpace(
             2,
@@ -138,6 +148,12 @@ class TestGameSpecValidation:
         tree = FiniteBTree([(ONE,)])
         with pytest.raises(ValueError):
             GameSpec(tree, whole_space_model(), {(ONE,): Fraction(3, 2)}, PAYOFF_SZLENK)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_weight_is_a_value_error(self, value):
+        tree = FiniteBTree([(ONE,)])
+        with pytest.raises(ValueError, match="not a rational"):
+            GameSpec(tree, whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
 
     def test_invalid_tree_rejected(self):
         with pytest.raises(ValueError):
