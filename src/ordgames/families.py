@@ -26,14 +26,15 @@ a path is recovered from its first label.
 A member's state is what its family needs of it to go on below it: its
 last label in T, and in Gamma its reading (``_Reading``), which holds what
 its maximality, rank, weight and the labels one step below it need; state
-None is the virtual root.  Each family has one child rule each way.
-``_step`` gives a child's state from its parent's and its label; a point
-query folds it over its path, one label at a time.  ``_below`` gives a
-node's children with their states; the walk that ``truncate`` and the
-branch enumerations share builds every node's state from its parent's with
-it, at O(1) ordinal operations per index level, and touches no cache.
-The Gamma step keeps the module's one point-query cache (65,536 entries):
-readings recur across the paths queried.
+None is the virtual root; a state fixes the labelled subtree below it.
+Each family has one child rule each way.  ``_step`` gives a child's state
+from its parent's and its label; a point query folds it over its path, one
+label at a time, and each family's step keeps one bounded point-query cache
+(65,536 entries), as states recur across the paths queried.  ``_below``
+gives a node's children with their states; the walk that ``truncate`` and
+the branch enumerations share builds every node's state from its parent's
+with it, asks it once per distinct state, keeps its answers in a memo freed
+when the walk ends, and leaves the step caches alone.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class _Family:
     it backwards (the state of the child ``label``, None where it is no
     member), and ``_leaf(state)`` says whether a member is maximal.  The public
     queries fold ``_step`` over their path; the walk carries every node's
-    state down from its parent's, so it reads no path.
+    state down from its parent's, so it reads no path, and asks ``_below``
+    once per distinct state.
     """
 
     kind: str
@@ -164,15 +166,20 @@ class _Family:
 
     def _walk(self, budget: TruncationBudget) -> Iterator[tuple]:
         # pre-order over (path, state) on an explicit stack; a node's
-        # children are expanded only while its length is below max_depth
+        # children are expanded only while its length is below max_depth.
+        # A state fixes its subtree and the budget is the walk's, so each
+        # distinct state's children, in push order, are asked of _below once
+        pushes: Dict[object, list] = {}
         stack = [((label,), state) for label, state in reversed(self._below(None, budget))]
         while stack:
             node = stack.pop()
             yield node
             path, state = node
             if len(path) < budget.max_depth:
-                below = self._below(state, budget)
-                stack.extend((path + (label,), child) for label, child in reversed(below))
+                below = pushes.get(state)
+                if below is None:
+                    below = pushes[state] = self._below(state, budget)[::-1]
+                stack.extend((path + (label,), child) for label, child in below)
 
     def maximal_branches(self, budget: TruncationBudget) -> Iterator[NodePath]:
         """Lazily yield paths maximal in the full family, up to the budget."""
@@ -194,6 +201,7 @@ class TFamily(_Family):
 
     kind = "T"
 
+    @lru_cache(maxsize=1 << 16)
     def _step(self, above: Optional[Ordinal], label: Ordinal) -> Optional[Ordinal]:
         xi = self.xi if above is None else above.pred()
         return label if label.is_successor and (label == xi or (xi.is_limit and label < xi)) else None
@@ -231,7 +239,7 @@ class GammaFamily(_Family):
             self._sigma = self.xi.pred()
             self._unit = omega_pow(self._sigma)
 
-    # the one point-query cache: readings recur across the paths queried
+    # bounded, as T's step cache: readings recur across the paths queried
     @lru_cache(maxsize=1 << 16)
     def _step(self, reading: Optional[_Reading], label: Ordinal) -> Optional[_Reading]:
         xi = self.xi

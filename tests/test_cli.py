@@ -574,6 +574,8 @@ class TestConsoleScript:
         outputs = []
         for seed in ("1", "2"):
             env = {"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": SRC_DIR}
+            if "PYTHONDONTWRITEBYTECODE" in os.environ:  # leave no bytecode in src/
+                env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
             build = subprocess.run(
                 [sys.executable, "-m", "ordgames.cli", "game", "build", "2",
                  str(model_file), "--max-n", "2"],

@@ -14,6 +14,7 @@ from oracles import gamma1_members, gamma2_members_from_display, gamma_members, 
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
     GammaFamily,
+    TFamily,
     TruncationBudget,
     gamma_family,
     make_family,
@@ -264,61 +265,84 @@ class TestGammaOracle:
                         family.is_maximal(path)
 
 
-# (index, largest max_n, largest max_depth or None): a few hundred nodes at
-# most (Gamma_3 and Gamma_w at max_n 3 have over 170,000); finite,
+# (family, largest max_n, largest max_depth or None): a few hundred nodes
+# at most (Gamma_3 and Gamma_w at max_n 3 have over 170,000); finite,
 # successor and limit indices
 WALK_CASES = [
-    (ZERO, 3, None),
-    (ONE, 3, None),
-    (Ordinal(2), 3, None),
-    (Ordinal(3), 2, None),
-    (OMEGA, 2, None),
-    (OMEGA + 1, 2, None),
-    (OMEGA * 2, 2, 3),
-    (omega_pow(OMEGA), 2, None),
+    (gamma_family(ZERO), 3, None),
+    (gamma_family(ONE), 3, None),
+    (gamma_family(Ordinal(2)), 3, None),
+    (gamma_family(Ordinal(3)), 2, None),
+    (gamma_family(OMEGA), 2, None),
+    (gamma_family(OMEGA + 1), 2, None),
+    (gamma_family(OMEGA * 2), 2, 3),
+    (gamma_family(omega_pow(OMEGA)), 2, None),
+    (t_family(Ordinal(5)), 3, None),
+    (t_family(OMEGA * 2 + 3), 3, None),
+    (t_family(OMEGA * 3), 3, None),
+    (t_family(omega_pow(2)), 3, None),
+    (t_family(omega_pow(OMEGA) + OMEGA), 3, None),
 ]
 
 
 @st.composite
 def walks(draw):
-    """A Gamma family and a budget, with or without a max_depth cut-off."""
-    xi, top_n, top_depth = draw(st.sampled_from(WALK_CASES))
+    """A family and a budget, with or without a max_depth cut-off."""
+    family, top_n, top_depth = draw(st.sampled_from(WALK_CASES))
     max_n = draw(st.integers(1, top_n))
     max_depth = draw(st.one_of(st.none(), st.integers(1, 5)))
     if top_depth is not None:
         max_depth = min(max_depth or top_depth, top_depth)
-    return gamma_family(xi), B(max_n) if max_depth is None else B(max_n, max_depth=max_depth)
+    return family, B(max_n) if max_depth is None else B(max_n, max_depth=max_depth)
 
 
 class TestWalk:
-    """The walk carries each node's reading down from its parent's; it must
-    give every node the reading a point query gets, and the nodes and
-    branches of a walk that asks ``children``/``is_maximal`` per path."""
+    """The walk carries each node's state down from its parent's and asks
+    ``_below`` once per distinct state; it must give every node the state a
+    point query gets, and the nodes and branches of a walk that asks
+    ``children``/``is_maximal`` per path."""
 
     @settings(max_examples=40, deadline=None)
     @given(walks())
     def test_matches_point_queries(self, walk):
         family, budget = walk
         walked = list(family._walk(budget))
-        for path, reading in walked:
-            assert reading == family._read(path)[-1], path
+        for path, state in walked:
+            assert state == family._read(path)[-1], path
         nodes, branches = reference_walk(family, budget)
         assert [path for path, _ in walked] == nodes
         assert family.truncate(budget) == FiniteBTree(nodes)
         assert list(family.maximal_branches(budget)) == branches
-        assert family.node_weights(budget) == {path: family.weight(path) for path in nodes}
-        assert list(family.weighted_branches(budget)) == [(b, family.prefix_weights(b)) for b in branches]
+        if family.kind == "Gamma":
+            assert family.node_weights(budget) == {path: family.weight(path) for path in nodes}
+            assert list(family.weighted_branches(budget)) == [(b, family.prefix_weights(b)) for b in branches]
 
     @settings(max_examples=20, deadline=None)
     @given(walks())
     def test_leaves_the_point_query_cache_alone(self, walk):
         family, budget = walk
-        before = GammaFamily._step.cache_info()
+        before = GammaFamily._step.cache_info(), TFamily._step.cache_info()
         family.truncate(budget)
         list(family.maximal_branches(budget))
-        family.node_weights(budget)
-        list(family.weighted_branches(budget))
-        assert GammaFamily._step.cache_info() == before
+        if family.kind == "Gamma":
+            family.node_weights(budget)
+            list(family.weighted_branches(budget))
+        assert (GammaFamily._step.cache_info(), TFamily._step.cache_info()) == before
+
+    @pytest.mark.parametrize(
+        "family, nodes, calls",
+        [(t_family(omega_pow(3)), 498, 16), (gamma_family(Ordinal(2)), 108, 37)],
+    )
+    def test_expands_each_distinct_state_once(self, family, nodes, calls, monkeypatch):
+        # the root, then one call per distinct state walked: T_w^(3) repeats
+        # the chains below each label, Gamma_2 the blocks of Gamma_1
+        states = []
+        below = family._below
+        monkeypatch.setattr(family, "_below", lambda state, budget: states.append(state) or below(state, budget))
+        walked = [state for _, state in family._walk(B(3))]
+        assert len(walked) == nodes
+        assert len(states) == calls == 1 + len(set(walked))
+        assert states[0] is None
 
     def test_t_family(self):
         for xi in (Ordinal(5), OMEGA * 2 + 3, omega_pow(2)):
@@ -374,6 +398,13 @@ class TestLongGammaPath:
             tracemalloc.stop()
         assert queries == (True, Fraction(1, 3000), (Fraction(1), True), ZERO, False)
         assert peak < 8 * 2**20, peak
+
+
+class TestDeepGamma:
+    def test_walks_a_deep_finite_index(self):
+        # _below recurses once per index level, so a cache wrapped around it
+        # would add a frame per level and halve the depth a walk reaches
+        assert gamma_family(Ordinal(700)).truncate(B(1)) == FiniteBTree.closure([(ONE,)])
 
 
 class TestChildren:
