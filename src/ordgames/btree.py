@@ -33,6 +33,15 @@ def path_to_text(path: NodePath) -> str:
     return ",".join(str(label) for label in path)
 
 
+def _json_object(data, what: str) -> dict:
+    """``data``, parsed first when it is JSON text; a ValueError unless an object."""
+    if isinstance(data, str):
+        data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object")
+    return data
+
+
 def _frac_text(x) -> str:
     """A Fraction as exact text, p/q: the form every layer prints rationals in."""
     return f"{x.numerator}/{x.denominator}"
@@ -169,11 +178,7 @@ class FiniteBTree:
 
     @classmethod
     def from_json(cls, data: Union[dict, str]) -> "FiniteBTree":
-        if isinstance(data, str):
-            data = json.loads(data)
-        if not isinstance(data, dict):
-            raise ValueError("a tree must be a JSON object")
-        nodes = data["nodes"]
+        nodes = _json_object(data, "tree")["nodes"]
         if not isinstance(nodes, list) or not all(
             isinstance(t, list) and all(type(label) in (str, int) for label in t) for t in nodes
         ):

@@ -39,12 +39,11 @@ when the walk ends, and leaves the step caches alone.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .btree import FiniteBTree, NodePath, path_to_text
+from .btree import FiniteBTree, NodePath, _json_object, path_to_text
 from .ordinal import ONE, ZERO, Ordinal, OrdinalError, _from_cnf, omega_pow, quot_rem_omega_pow, subtract_left
 
 __all__ = [
@@ -407,10 +406,7 @@ def make_family(kind: str, xi: Ordinal) -> _Family:
 
 def family_from_json(data: Union[dict, str]) -> _Family:
     """Build a family from the descriptor {"kind": "T"|"Gamma", "xi": "<CNF>"}."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("a family must be a JSON object")
+    data = _json_object(data, "family")
     return make_family(data["kind"], Ordinal(data["xi"]))
 
 
@@ -420,10 +416,7 @@ def family_to_json(family: _Family) -> dict:
 
 def budget_from_json(data: Union[dict, str]) -> TruncationBudget:
     """Build a budget from {"max_n": N, "max_depth": D} (max_depth optional)."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("a budget must be a JSON object")
+    data = _json_object(data, "budget")
     max_n, max_depth = data["max_n"], data.get("max_depth", _MAX_DEPTH)
     if type(max_n) is not int or type(max_depth) is not int:
         raise ValueError("budget max_n and max_depth must be integers")

@@ -25,17 +25,18 @@ reproducible byte for byte.
 
 Each game numbers its tree nodes once, in a node arena: id 0 is the virtual
 root, and per id it keeps the node's children as {label: child id} in sorted
-label order, its last label and its integer weight.  The solver, the scorer,
-the playout walk, verification, extraction, substrategy completion and
-single-leaf scoring move through node ids, so no walk hashes a path of
-``Ordinal`` labels to find a child, a weight or whether a node is maximal.
-Histories of labels remain only where the output needs them: the keys of
-``Strategy.moves`` and of ``ExtractedCollections``.
+label order, its last label and its integer weight.  Every walk moves
+through node ids, so none hashes a path of ``Ordinal`` labels to find a
+child, a weight or whether a node is maximal.  Histories of labels remain
+only where the output needs them: the keys of ``Strategy.moves`` and of
+``ExtractedCollections``.  One rule decides a legal Player-I prescription,
+``_offer_child``, for the playout walk and for substrategy completion (one
+walk over the non-maximal product tree), and one a legal maximal history,
+``_leaf_id``, for the payoff table and single leaves.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import cache
@@ -44,7 +45,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 )
 
-from .btree import FiniteBTree, NodePath, _frac_text, path_to_text
+from .btree import FiniteBTree, NodePath, _frac_text, _json_object, path_to_text
 from .ordinal import Ordinal
 
 if TYPE_CHECKING:
@@ -92,10 +93,6 @@ def _rational(x) -> Fraction:
         return Fraction(x)
     except (ZeroDivisionError, TypeError, OverflowError):
         raise ValueError(f"not a rational: {x!r}") from None
-
-
-def _zproj(history: History) -> NodePath:
-    return tuple(move[0] for move in history)
 
 
 class ModelSpace:
@@ -226,14 +223,11 @@ class GameSpec:
                 raise ValueError(f"no weight for node {path_to_text(node)}")
             if not 0 <= w <= 1:
                 raise ValueError(f"weight {w} outside [0, 1]")
+        if len(weights) > len(tree):
+            stray = next(path for path in weights if path not in tree.nodes)
+            raise ValueError(f"weight for {path_to_text(stray)}, which is not a tree node")
         if payoff != PAYOFF_SZLENK:
             payoff = frozenset(tuple(tuple(m) for m in h) for h in payoff)
-            for h in payoff:
-                node = _zproj(h)
-                if node not in tree or not tree.is_max(node):
-                    raise ValueError("payoff table entry is not a maximal history")
-                if not _legal_indices(model, h):
-                    raise ValueError("payoff table entry uses an illegal move index")
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "weights", weights)
@@ -261,6 +255,8 @@ class GameSpec:
         object.__setattr__(self, "_int_weights", (0,) + tuple(int(weights[p] * dw) for p in nodes))
         object.__setattr__(self, "_int_peaks", int_peaks)
         object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
+        if payoff != PAYOFF_SZLENK and any(_leaf_id(self, h) is None for h in payoff):
+            raise ValueError("payoff table entry is not a maximal history")
 
     def __setattr__(self, name, value):
         raise AttributeError("GameSpec is immutable")
@@ -354,31 +350,26 @@ def _scorer(game: GameSpec):
     return (0,) * len(game.model.functionals), step, ii_wins
 
 
-def _node_id(game: GameSpec, path: NodePath) -> Optional[int]:
-    """The arena id of ``path`` (0 for the empty path), or None off the tree."""
+def _leaf_id(game: GameSpec, history: History) -> Optional[int]:
+    """The arena id of the maximal node ``history`` ends at, or None unless it
+    is a maximal history of legal moves: each a Player-I prescription legal as
+    ``_offer_child`` decides, with an int compact index in range."""
     node = 0
-    for label in path:
-        node = game._kids[node].get(label)
-        if node is None:
-            return None
-    return node
-
-
-def _legal_indices(model: ModelSpace, history: History) -> bool:
-    return all(
-        0 <= z < len(model.subspaces) and 0 <= c < len(model.compacts) for _, z, c in history
-    )
+    try:
+        for label, zi, ci in history:
+            node = _offer_child(game, node, (label, zi))
+            if node is None or not (isinstance(ci, int) and 0 <= ci < game.n_compacts):
+                return None
+    except (TypeError, ValueError):  # a move not a triple
+        return None
+    return None if game._kids[node] else node
 
 
 def eval_payoff(game: GameSpec, leaf: History) -> bool:
     """Does the terminal history belong to the payoff set?"""
     leaf = tuple(tuple(m) for m in leaf)
-    node = _zproj(leaf)
-    last = _node_id(game, node)
-    if last is None or game._kids[last]:
-        raise ValueError(f"{path_to_text(node)} is not maximal")
-    if not _legal_indices(game.model, leaf):
-        raise ValueError("leaf uses an illegal move index")
+    if _leaf_id(game, leaf) is None:
+        raise ValueError("leaf is not a maximal history")
     state, step, ii_wins = _scorer(game)
     child = 0
     for label, zi, ci in leaf:
@@ -466,6 +457,22 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     return winner, Strategy(winner, moves)
 
 
+def _offer_child(game: GameSpec, node: int, move) -> Optional[int]:
+    """The arena id a Player-I prescription at node ``node`` moves to, or None
+    unless it is legal: a (label, subspace) pair whose label the node's
+    {label: child id} finds, by hash and equality as the tree's node set
+    would (an int equal to a label is not one), and an int subspace in range.
+    """
+    try:
+        zeta, zi = move
+        child = game._kids[node].get(zeta)
+    except (TypeError, ValueError):  # not a pair, or a label not hashable
+        return None
+    if child is None or not (isinstance(zi, int) and 0 <= zi < game.n_subspaces):
+        return None
+    return child
+
+
 def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     """Walk every play consistent with ``strategy``, without recursion.
 
@@ -473,12 +480,10 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     ``step`` at each move, as ``_scorer`` gives.  Yields ``(key, move,
     state)`` at each prescription met: ``key`` is a history for Player I and
     a (history, offer) pair for Player II, and ``state`` is the history's.
-    ``move`` is None when the prescription is missing, illegal or not of a
-    move's shape (an int index; a (label, index) pair for Player I), and the
-    walk does not go below it.  Yields ``(None, leaf, state)`` at each
-    maximal history.  A Player-I label is legal iff the current node's
-    {label: child id} finds it, by hash and equality as the tree's node set
-    would: an int equal to a label is not one.
+    ``move`` is None when the prescription is missing or illegal (for Player
+    I as ``_offer_child`` decides; for Player II not an int index in range),
+    and the walk does not go below it.  Yields ``(None, leaf, state)`` at
+    each maximal history.
     """
     kids = game._kids
     n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
@@ -487,15 +492,12 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
         history, node, state = stack.pop()
         if strategy.player == "I":
             move = strategy.moves.get(history)
-            try:
-                zeta, zi = move
-                child = kids[node].get(zeta)
-            except (TypeError, ValueError):  # no move, or not a (label, subspace) pair
-                child = None
-            if child is None or not (isinstance(zi, int) and 0 <= zi < n_subspaces):
+            child = _offer_child(game, node, move)
+            if child is None:
                 yield history, None, state
                 continue
             yield history, move, state
+            zeta, zi = move
             branches = [(child, (zeta, zi, ci)) for ci in range(n_compacts)]
         else:
             branches = []
@@ -560,47 +562,46 @@ def brute_force_winner(game: GameSpec, max_positions: int = 10**6) -> str:
 
 
 def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Strategy:
-    """Extend a Player-I substrategy to a total strategy.
+    """Extend a Player-I substrategy to a total strategy, in one walk.
 
-    Off the substrategy's domain the completion plays the least legal label
-    with the fixed fallback subspace.  The substrategy must prescribe a legal
-    root move, stay inside the non-maximal product tree, prescribe only legal
-    moves, and cover every position reachable by following its own
-    prescriptions (an already-total strategy therefore passes unchanged).
+    The walk covers the non-maximal product tree on an explicit stack: it
+    keeps each prescription, which must be legal as ``_offer_child`` decides,
+    and elsewhere plays the least label with the fixed fallback subspace.  It
+    carries whether a history lies on the substrategy's own play, where a
+    prescription must exist; a key it never meets (off the tree, at a maximal
+    node, or with an index out of range) is an error.  An already-total
+    strategy therefore passes unchanged.
     """
     if sub.player != "I":
         raise ValueError("substrategy completion is for Player I")
-    kids = game._kids
-    if not 0 <= fallback_z < game.n_subspaces:
+    kids, n_subspaces, n_compacts = game._kids, game.n_subspaces, game.n_compacts
+    if not (isinstance(fallback_z, int) and 0 <= fallback_z < n_subspaces):
         raise ValueError("fallback subspace index out of range")
-    moves = {tuple(k): tuple(v) for k, v in sub.moves.items()}
-    for history, (zeta, zi) in moves.items():
-        node = _node_id(game, _zproj(history))
-        if history:
-            if node is None or not kids[node]:
-                raise ValueError("substrategy domain leaves the non-maximal tree")
-            if not _legal_indices(game.model, history):
-                raise ValueError("substrategy domain uses an illegal move index")
-        if zeta not in kids[node] or not 0 <= zi < game.n_subspaces:
-            raise ValueError("substrategy prescribes an illegal move")
-    # every position reachable by following the substrategy must be covered
-    root, step, _ = _scorer(game)
-    plays = _plays(game, Strategy("I", moves), root, step)
-    if any(key is not None and move is None for key, move, _ in plays):
-        raise ValueError("substrategy is undefined at a reachable position")
-
     total: Dict[History, Offer] = {}
-    stack: List[Tuple[History, int]] = [((), 0)]
+    met = 0
+    stack: List[Tuple[History, int, bool]] = [((), 0, True)]
     while stack:
-        history, node = stack.pop()
+        history, node, on_play = stack.pop()
         children = kids[node]
-        total[history] = moves.get(history, (next(iter(children)), fallback_z))
+        if history in sub.moves:
+            met += 1
+            move = sub.moves[history]
+            if _offer_child(game, node, move) is None:
+                raise ValueError("substrategy prescribes an illegal move")
+            move = total[history] = tuple(move)
+        elif on_play:
+            raise ValueError("substrategy is undefined at a reachable position")
+        else:
+            move = total[history] = (next(iter(children)), fallback_z)
         for zeta, child in children.items():
             if not kids[child]:
                 continue
-            for zi in range(game.n_subspaces):
-                for ci in range(game.n_compacts):
-                    stack.append((history + ((zeta, zi, ci),), child))
+            for zi in range(n_subspaces):
+                played = on_play and (zeta, zi) == move
+                for ci in range(n_compacts):
+                    stack.append((history + ((zeta, zi, ci),), child, played))
+    if met < len(sub.moves):
+        raise ValueError("substrategy domain leaves the non-maximal tree")
     return Strategy("I", total)
 
 
@@ -783,10 +784,7 @@ def model_from_json(data: dict) -> ModelSpace:
 
 
 def game_from_json(data: Union[dict, str]) -> GameSpec:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("a game must be a JSON object")
+    data = _json_object(data, "game")
     model = model_from_json(data["model"])
     tree = FiniteBTree.from_json(data["tree"])
     if not isinstance(data["weights"], dict):
@@ -817,10 +815,7 @@ def strategy_to_json(strategy: Strategy) -> dict:
 
 
 def strategy_from_json(data: Union[dict, str]) -> Strategy:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ValueError("a strategy must be a JSON object")
+    data = _json_object(data, "strategy")
     player, items = data["player"], data["moves"]
     if player not in ("I", "II"):
         raise ValueError(f'"player" must be "I" or "II", not {player!r}')

@@ -315,6 +315,54 @@ def reachable_restriction(game: GameSpec, strategy: Strategy) -> Strategy:
     return Strategy("I", moves)
 
 
+def complete_by_paths(game: GameSpec, sub: Strategy, fallback_z: int):
+    """``complete_substrategy``'s contract, checked on ``game.tree`` paths.
+
+    None when the Player-I substrategy breaks it: a key that is not a
+    history of the non-maximal product tree, a prescription that is not a
+    (child label, int subspace in range) pair, or a history on the
+    substrategy's own play without one.  Otherwise the total strategy's
+    moves: the prescription where there is one, else the least child label
+    with ``fallback_z``.  Labels are looked up in the tree's node set, by
+    hash, so an int equal to a label is not one.
+    """
+    tree = game.tree
+    node_of = {}  # every history of the non-maximal product tree: its node path
+
+    def walk(history, node):
+        node_of[history] = node
+        for zeta in tree.children_labels(node):
+            if not tree.is_max(node + (zeta,)):
+                for zi in range(game.n_subspaces):
+                    for ci in range(game.n_compacts):
+                        walk(history + ((zeta, zi, ci),), node + (zeta,))
+
+    def legal(node, move):
+        return (
+            isinstance(move, tuple) and len(move) == 2 and node + (move[0],) in tree
+            and isinstance(move[1], int) and 0 <= move[1] < game.n_subspaces
+        )
+
+    walk((), ())
+    if any(key not in node_of for key in sub.moves):
+        return None
+    if any(not legal(node, sub.moves[h]) for h, node in node_of.items() if h in sub.moves):
+        return None
+    play = [()]
+    while play:
+        history = play.pop()
+        if history not in sub.moves:
+            return None
+        zeta, zi = sub.moves[history]
+        child = node_of[history] + (zeta,)
+        if not tree.is_max(child):
+            play.extend(history + ((zeta, zi, ci),) for ci in range(game.n_compacts))
+    return {
+        h: sub.moves[h] if h in sub.moves else (tree.children_labels(node)[0], fallback_z)
+        for h, node in node_of.items()
+    }
+
+
 def winner_by_rerooting(game: GameSpec) -> str:
     """Determinacy decided by literally re-rooting subgames (table games only).
 

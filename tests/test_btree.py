@@ -154,3 +154,23 @@ class TestJson:
     def test_pickle_and_copy_round_trip(self, tree):
         for restore in (lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy):
             assert restore(tree) == tree
+
+
+class TestJsonObjectReaders:
+    @pytest.mark.parametrize("what", ["tree", "family", "budget", "game", "strategy"])
+    def test_text_parsed_and_non_objects_rejected(self, what):
+        from ordgames.families import budget_from_json, family_from_json
+        from ordgames.games import game_from_json, strategy_from_json
+
+        read, text = {
+            "tree": (FiniteBTree.from_json, '{"nodes": [["1"]]}'),
+            "family": (family_from_json, '{"kind": "T", "xi": "2"}'),
+            "budget": (budget_from_json, '{"max_n": 2}'),
+            "game": (game_from_json, None),
+            "strategy": (strategy_from_json, '{"player": "I", "moves": {"": ["1", 0]}}'),
+        }[what]
+        if text is not None:
+            assert read(text) == read(json.loads(text))
+        for bad in ["[1]", "5", '"{}"', [1], 5]:
+            with pytest.raises(ValueError, match=f"^a {what} must be a JSON object$"):
+                read(bad)

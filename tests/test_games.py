@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    complete_by_paths,
     maximal_histories,
     payoff_by_enumeration,
     product_tree_strategy,
@@ -176,6 +177,27 @@ class TestGameSpecValidation:
             )
 
 
+    @pytest.mark.parametrize("index", [0.0, Fraction(0)], ids=["float", "fraction"])
+    def test_table_indices_must_be_ints(self, index):
+        # equal to 0, but game_to_json would write "1:0.0:0", which
+        # game_from_json cannot read back
+        for entry in [((ONE, index, 0),), ((ONE, 0, index),)]:
+            with pytest.raises(ValueError, match="payoff table entry"):
+                single_node_game(payoff=frozenset({entry}))
+
+    @pytest.mark.parametrize(
+        "stray",
+        [{(Ordinal(7),): 5}, {(ONE, ONE): Fraction(1, 10**50)}, {(1,): 1}],
+        ids=["out-of-range", "below-a-leaf", "int-label"],
+    )
+    def test_weights_off_the_tree_rejected(self, stray):
+        # kept, such a weight would be printed nowhere, break the JSON round
+        # trip and still enter the weights' common denominator
+        tree = FiniteBTree([(ONE,)])
+        with pytest.raises(ValueError, match="not a tree node"):
+            GameSpec(tree, whole_space_model(), {(ONE,): Fraction(1), **stray}, PAYOFF_SZLENK)
+
+
 class TestEvalPayoff:
     def test_single_node_true(self):
         game = single_node_game()
@@ -201,7 +223,8 @@ class TestEvalPayoff:
     def test_move_indices_checked(self, payoff):
         # two subspaces and one compact: -1 must not wrap round to subspace 1
         game = single_node_game(whole_space_model(extra_subspaces=[ZERO_SUBSPACE_1D]), payoff)
-        for leaf in [((ONE, -1, 0),), ((ONE, 2, 0),), ((ONE, 0, 1),), ((ONE, 0, -1),)]:
+        for leaf in [((ONE, -1, 0),), ((ONE, 2, 0),), ((ONE, 0, 1),), ((ONE, 0, -1),),
+                     ((ONE, 0.0, 0),), ((ONE, 0, Fraction(0)),)]:
             with pytest.raises(ValueError):
                 eval_payoff(game, leaf)
 
@@ -658,6 +681,65 @@ class TestCompleteSubstrategy:
         moves = {(): (Ordinal(2), 0), ((ONE, 0, 0),): (Ordinal(9), 0)}
         with pytest.raises(ValueError):
             complete_substrategy(game, Strategy("I", moves), 0)
+
+    @pytest.mark.parametrize("on_play", [False, True], ids=["off-play", "on-play"])
+    def test_float_subspace_rejected(self, on_play):
+        # 0.0 equals subspace 0 but is no index: strategy_to_json would write
+        # a move that strategy_from_json rejects
+        game = self.make_two_step_game()
+        moves = {(): (ONE, 0.0)} if on_play else {(): (Ordinal(2), 0), ((ONE, 0, 0),): (ONE, 0.0)}
+        with pytest.raises(ValueError, match="illegal move"):
+            complete_substrategy(game, Strategy("I", moves), 0)
+
+    @pytest.mark.parametrize("fallback_z", [-1, 2, 0.0], ids=["negative", "too-large", "float"])
+    def test_fallback_must_be_a_subspace_index(self, fallback_z):
+        game = self.make_two_step_game()
+        _, strategy = solve(game)
+        with pytest.raises(ValueError, match="fallback"):
+            complete_substrategy(game, reachable_restriction(game, strategy), fallback_z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_path_oracle_on_random_games(self, seed):
+        # a winning substrategy with one key dropped or added, checked against
+        # the contract read off the tree's paths
+        rng = random.Random(seed)
+        while True:
+            game = random_game(rng)
+            winner, strategy = solve(game)
+            if winner == "I":
+                break
+        moves = dict(reachable_restriction(game, strategy).moves)
+        histories = list(complete_by_paths(game, Strategy("I", moves), 0))
+        history = rng.choice(histories)
+        labels = game.tree.children_labels(tuple(m[0] for m in history))
+        kind = rng.choice(["drop", "legal", "label", "float", "off-tree", "maximal"])
+        if kind == "drop":
+            del moves[rng.choice(list(moves))]
+        elif kind == "legal":  # off the play, if there is room
+            off_play = [h for h in histories if h not in moves]
+            if off_play:
+                history = rng.choice(off_play)
+                labels = game.tree.children_labels(tuple(m[0] for m in history))
+                moves[history] = (rng.choice(labels), rng.randrange(game.n_subspaces))
+        elif kind == "label":  # the int 1 equals the label 1 but is not one
+            moves[history] = (rng.choice([OMEGA * 3, 1]), 0)
+        elif kind == "float":
+            moves[history] = (rng.choice(labels), float(rng.randrange(game.n_subspaces)))
+        elif kind == "off-tree":
+            move = rng.choice([(OMEGA * 3, 0, 0), (labels[0], game.n_subspaces, 0), (labels[0], 0, -1)])
+            moves[history + (move,)] = (ONE, 0)
+        else:
+            moves[rng.choice(maximal_histories(game))] = (ONE, 0)
+        sub, fallback_z = Strategy("I", moves), rng.randrange(game.n_subspaces)
+        want = complete_by_paths(game, sub, fallback_z)
+        if want is None:
+            with pytest.raises(ValueError):
+                complete_substrategy(game, sub, fallback_z)
+        else:
+            total = complete_substrategy(game, sub, fallback_z)
+            assert total.moves == want
+            assert verify_strategy(game, total)
 
     def test_player_two_rejected(self):
         game = self.make_two_step_game()
