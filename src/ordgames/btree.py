@@ -47,9 +47,40 @@ def _frac_text(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-class FiniteBTree:
+class _Frozen:
+    """An immutable value given by ``_FIELDS``, its constructor's arguments in
+    order: equal (same type) and hashed by them, rebuilt by the constructor
+    for pickle and copy, and printed as ``Name(field=value, ...)``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._FIELDS)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # through the constructor: __setattr__ refuses the default slot-by-slot restore
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+class FiniteBTree(_Frozen):
     """An immutable finite B-tree given by its explicit node set."""
 
+    _FIELDS = ("nodes",)
     __slots__ = ("_nodes", "_children", "_ranks")
 
     def __init__(self, nodes: Iterable[NodePath] = ()):
@@ -59,14 +90,6 @@ class FiniteBTree:
         object.__setattr__(self, "_nodes", node_set)
         object.__setattr__(self, "_children", None)
         object.__setattr__(self, "_ranks", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteBTree is immutable")
-
-    def __reduce__(self):
-        # rebuilt by the constructor: the immutable __setattr__ refuses the
-        # default slot-by-slot restore of pickle and copy
-        return FiniteBTree, (self._nodes,)
 
     @classmethod
     def closure(cls, paths: Iterable[NodePath]) -> "FiniteBTree":
@@ -92,12 +115,6 @@ class FiniteBTree:
 
     def __iter__(self) -> Iterator[NodePath]:
         return iter(sorted(self._nodes))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteBTree) and self._nodes == other._nodes
-
-    def __hash__(self) -> int:
-        return hash(self._nodes)
 
     def __repr__(self) -> str:
         return f"FiniteBTree({len(self._nodes)} nodes)"

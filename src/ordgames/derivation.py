@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import AbstractSet, Callable, FrozenSet, Hashable, Union
 
+from .btree import _Frozen
 from .ordinal import ONE, Ordinal, OrdinalError, omega_mul, omega_pow, quot_rem_omega_pow
 
 __all__ = [
@@ -67,34 +68,21 @@ class Infinity:
 INFINITY = Infinity()
 
 
-class DerivationSystem:
+class DerivationSystem(_Frozen):
     """A contractive step function on subsets of a finite ground set.
 
     The step must satisfy step(S) subset-of S; this is checked at each
     application since the callable itself cannot be inspected.  Immutable.
     """
 
-    __slots__ = ("ground", "step")
+    _FIELDS = ("ground", "step")
+    __slots__ = _FIELDS
     ground: FrozenSet[Hashable]
     step: Callable[[FrozenSet[Hashable]], AbstractSet[Hashable]]
 
     def __init__(self, ground, step):
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "step", step)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DerivationSystem is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.ground, self.step) == (other.ground, other.step)
-
-    def __hash__(self):
-        return hash((self.ground, self.step))
-
-    def __repr__(self):
-        return f"DerivationSystem(ground={self.ground!r}, step={self.step!r})"
 
 
 def derivation_index(

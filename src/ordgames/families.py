@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .btree import FiniteBTree, NodePath, _json_object, path_to_text
+from .btree import FiniteBTree, NodePath, _Frozen, _json_object, path_to_text
 from .ordinal import ONE, ZERO, Ordinal, OrdinalError, _from_cnf, omega_pow, quot_rem_omega_pow, subtract_left
 
 __all__ = [
@@ -63,7 +63,7 @@ __all__ = [
 _MAX_DEPTH = 512  # the default safety cap on path length
 
 
-class TruncationBudget:
+class TruncationBudget(_Frozen):
     """Caps for enumerating infinitely branching points.
 
     ``max_n`` bounds how many of the infinitely many one-step choices are
@@ -71,7 +71,8 @@ class TruncationBudget:
     stages); ``max_depth`` is a safety cap on path length.  Immutable.
     """
 
-    __slots__ = ("max_n", "max_depth")
+    _FIELDS = ("max_n", "max_depth")
+    __slots__ = _FIELDS
 
     def __init__(self, max_n: int, max_depth: int = _MAX_DEPTH):
         if type(max_n) is not int or type(max_depth) is not int:
@@ -82,23 +83,6 @@ class TruncationBudget:
             raise ValueError("max_n must be >= 1")
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncationBudget is immutable")
-
-    def __reduce__(self):  # for pickle and copy, as FiniteBTree's
-        return TruncationBudget, (self.max_n, self.max_depth)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.max_n, self.max_depth) == (other.max_n, other.max_depth)
-
-    def __hash__(self):
-        return hash((self.max_n, self.max_depth))
-
-    def __repr__(self):
-        return f"TruncationBudget(max_n={self.max_n!r}, max_depth={self.max_depth!r})"
 
 
 def _fundamental(lam: Ordinal, k: int) -> Ordinal:

@@ -41,12 +41,13 @@ import math
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 )
 
-from .btree import FiniteBTree, NodePath, _frac_text, _json_object, path_to_text
-from .ordinal import Ordinal
+from .btree import FiniteBTree, NodePath, _Frozen, _frac_text, _json_object, path_to_text
+from .ordinal import Ordinal, _is_int
 
 if TYPE_CHECKING:
     from .families import TruncationBudget
@@ -95,7 +96,7 @@ def _rational(x) -> Fraction:
         raise ValueError(f"not a rational: {x!r}") from None
 
 
-class ModelSpace:
+class ModelSpace(_Frozen):
     """A finite-dimensional rational model of the game's move alphabets.
 
     ``subspaces`` lists constraint matrices (x lies in subspace i iff
@@ -162,17 +163,6 @@ class ModelSpace:
             raise ValueError(f"vector of length {len(v)}, expected {dim}")
         return v
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModelSpace is immutable")
-
-    def __reduce__(self):  # for pickle and copy, as FiniteBTree's
-        return ModelSpace, tuple(getattr(self, f) for f in self._FIELDS)
-
-    def __eq__(self, other):
-        return isinstance(other, ModelSpace) and all(
-            getattr(self, f) == getattr(other, f) for f in self._FIELDS
-        )
-
     def __repr__(self):
         return (
             f"ModelSpace(dim={self.dim}, |D|={len(self.subspaces)}, "
@@ -192,8 +182,8 @@ class ModelSpace:
         return self._gains[z_index][c_index][0]
 
 
-class GameSpec:
-    """A game: tree, move alphabets, node weights and a payoff set.
+class GameSpec(_Frozen):
+    """A game: tree, move alphabets, node weights (read-only) and a payoff set.
 
     Built once: the node arena, which numbers the tree's nodes (0 is the
     virtual root) and holds per id ``_kids``, the node's ``{label: child id}``
@@ -230,7 +220,7 @@ class GameSpec:
             payoff = frozenset(tuple(tuple(m) for m in h) for h in payoff)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", MappingProxyType(weights))
         object.__setattr__(self, "payoff", payoff)
         gains, eps = model._gains, model.epsilon
         dw = math.lcm(*(w.denominator for w in weights.values()))
@@ -258,16 +248,10 @@ class GameSpec:
         if payoff != PAYOFF_SZLENK and any(_leaf_id(self, h) is None for h in payoff):
             raise ValueError("payoff table entry is not a maximal history")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GameSpec is immutable")
+    __repr__ = object.__repr__  # never a whole tree
 
-    def __reduce__(self):  # for pickle and copy, as FiniteBTree's
-        return GameSpec, tuple(getattr(self, f) for f in self._FIELDS)
-
-    def __eq__(self, other):
-        return isinstance(other, GameSpec) and all(
-            getattr(self, f) == getattr(other, f) for f in self._FIELDS
-        )
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return GameSpec, (self.tree, self.model, dict(self.weights), self.payoff)
 
     @property
     def n_subspaces(self) -> int:
@@ -358,7 +342,7 @@ def _leaf_id(game: GameSpec, history: History) -> Optional[int]:
     try:
         for label, zi, ci in history:
             node = _offer_child(game, node, (label, zi))
-            if node is None or not (isinstance(ci, int) and 0 <= ci < game.n_compacts):
+            if node is None or not (_is_int(ci) and 0 <= ci < game.n_compacts):
                 return None
     except (TypeError, ValueError):  # a move not a triple
         return None
@@ -468,7 +452,7 @@ def _offer_child(game: GameSpec, node: int, move) -> Optional[int]:
         child = game._kids[node].get(zeta)
     except (TypeError, ValueError):  # not a pair, or a label not hashable
         return None
-    if child is None or not (isinstance(zi, int) and 0 <= zi < game.n_subspaces):
+    if child is None or not (_is_int(zi) and 0 <= zi < game.n_subspaces):
         return None
     return child
 
@@ -505,7 +489,7 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
                 for zi in range(n_subspaces):
                     offer = (zeta, zi)
                     ci = strategy.moves.get((history, offer))
-                    if not (isinstance(ci, int) and 0 <= ci < n_compacts):
+                    if not (_is_int(ci) and 0 <= ci < n_compacts):
                         yield (history, offer), None, state
                         continue
                     yield (history, offer), ci, state
@@ -575,7 +559,7 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
     if sub.player != "I":
         raise ValueError("substrategy completion is for Player I")
     kids, n_subspaces, n_compacts = game._kids, game.n_subspaces, game.n_compacts
-    if not (isinstance(fallback_z, int) and 0 <= fallback_z < n_subspaces):
+    if not (_is_int(fallback_z) and 0 <= fallback_z < n_subspaces):
         raise ValueError("fallback subspace index out of range")
     total: Dict[History, Offer] = {}
     met = 0
@@ -701,6 +685,19 @@ def _history_texts(part_text: Callable[[tuple], str]) -> Callable[[tuple], str]:
     return text
 
 
+def _read_move(text: str, form: str, label: Callable[[str], Ordinal]) -> tuple:
+    """``text`` read as ``form``, ``label:subspace:compact`` or ``label:subspace``;
+    else a ValueError naming both, but a bad label keeps its OrdinalError."""
+    fields = text.split(":")
+    if len(fields) == form.count(":") + 1:
+        zeta = label(fields[0])
+        try:
+            return (zeta, *map(int, fields[1:]))
+        except ValueError:
+            pass
+    raise ValueError(f"{text!r} is not of the form {form}")
+
+
 def _history_reader(label: Callable[[str], Ordinal]) -> Callable[[str], History]:
     """``history_from_text``, memoized, with ``label`` to parse a label text."""
     known: Dict[str, History] = {"": ()}
@@ -717,8 +714,7 @@ def _history_reader(label: Callable[[str], Ordinal]) -> Callable[[str], History]
             else:
                 parts = [last]
             for part in parts:
-                zeta, zi, ci = part.split(":")
-                found += ((label(zeta), int(zi), int(ci)),)
+                found += (_read_move(part, "label:subspace:compact", label),)
             known[text] = found
         return found
 
@@ -821,22 +817,22 @@ def strategy_from_json(data: Union[dict, str]) -> Strategy:
         raise ValueError(f'"player" must be "I" or "II", not {player!r}')
     if not isinstance(items, dict):
         raise ValueError('"moves" must be a JSON object')
-    is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
     label = cache(Ordinal)
     read = _history_reader(label)
     moves = {}
     for key, value in items.items():
         if player == "I":
             if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
-                    and is_int(value[1])):
+                    and _is_int(value[1])):
                 raise ValueError(f"Player I's move must be [label, subspace index], not {value!r}")
             moves[read(key)] = (label(value[0]), value[1])
         else:
-            if not is_int(value):
+            if not _is_int(value):
                 raise ValueError(f"Player II's move must be a compact index, not {value!r}")
-            hist_text, offer_text = key.split("|")
-            zeta, zi = offer_text.split(":")
-            moves[(read(hist_text), (label(zeta), int(zi)))] = value
+            parts = key.split("|")
+            if len(parts) != 2:
+                raise ValueError(f"{key!r} is not of the form history|label:subspace")
+            moves[(read(parts[0]), _read_move(parts[1], "label:subspace", label))] = value
     return Strategy(player, moves)
 
 

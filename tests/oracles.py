@@ -510,8 +510,15 @@ def reference_history_from_text(text: str):
         return ()
     moves = []
     for part in text.split(";"):
-        zeta, zi, ci = part.split(":")
-        moves.append((Ordinal(zeta), int(zi), int(ci)))
+        bad = ValueError(f"{part!r} is not of the form label:subspace:compact")
+        fields = part.split(":")
+        if len(fields) != 3:
+            raise bad
+        zeta = Ordinal(fields[0])
+        try:
+            moves.append((zeta, int(fields[1]), int(fields[2])))
+        except ValueError:
+            raise bad from None
     return tuple(moves)
 
 

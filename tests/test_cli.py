@@ -372,12 +372,19 @@ class TestGame:
         "key, message",
         [
             ("x:0:0|1:0", "bad CNF text at 'x'"),
-            ("1:0|1:0", "not enough values to unpack (expected 3, got 2)"),
-            ("1:a:0|1:0", "invalid literal for int() with base 10: 'a'"),
+            ("1:0|1:0", "'1:0' is not of the form label:subspace:compact"),
+            ("1:a:0|1:0", "'1:a:0' is not of the form label:subspace:compact"),
+            ("1:0", "'1:0' is not of the form history|label:subspace"),
+            ("|1:0|1:0", "'|1:0|1:0' is not of the form history|label:subspace"),
+            ("|1:0:0", "'1:0:0' is not of the form label:subspace"),
+            ("|1:a", "'1:a' is not of the form label:subspace"),
             # the first bad part from the left names the error
             ("1:0:0;y:0:0;x:0:0|1:0", "bad CNF text at 'y'"),
         ],
-        ids=["bad-label", "two-field-part", "non-int-index", "two-bad-parts"],
+        ids=[
+            "bad-label", "two-field-part", "non-int-index", "no-offer", "two-bars",
+            "three-field-offer", "non-int-offer-index", "two-bad-parts",
+        ],
     )
     def test_malformed_strategy_key_message(self, capsys, tmp_path, key, message):
         game_file = self.build_game_file(capsys, tmp_path)
@@ -641,6 +648,20 @@ print(json.dumps([code, [m for m in watched if m in sys.modules]]))
         model_file.write_text(json.dumps(GAMMA1_MODEL))
         code, loaded = run_isolated(self.LOADED, "game", "build", "1", str(model_file))
         assert (code, loaded) == (0, ["ordgames.games"])
+
+    def test_cb_verb_loads_no_games_or_families(self):
+        # derivation imports btree, for the immutable-value base, and no more
+        code, loaded = run_isolated(
+            """
+import json, sys
+from ordgames import cli
+code = cli.run(sys.argv[1:])
+watched = ("ordgames.derivation", "ordgames.btree", "ordgames.games", "ordgames.families")
+print(json.dumps([code, [m for m in watched if m in sys.modules]]))
+""",
+            "cb", "index", "w",
+        )
+        assert (code, loaded) == (0, ["ordgames.derivation", "ordgames.btree"])
 
     def test_public_names(self):
         names = run_isolated(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -75,6 +77,9 @@ class TestDerivationSystem:
         assert hash(system) == hash((frozenset({1}), len))
         with pytest.raises(AttributeError):
             system.step = abs
+        system = DerivationSystem(frozenset({1, 2}), frozenset)
+        for restore in (lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy):
+            assert restore(system) == system and hash(restore(system)) == hash(system)
 
     def test_start_outside_ground_rejected(self):
         system = DerivationSystem(frozenset({1}), lambda s: s)

@@ -177,10 +177,10 @@ class TestGameSpecValidation:
             )
 
 
-    @pytest.mark.parametrize("index", [0.0, Fraction(0)], ids=["float", "fraction"])
+    @pytest.mark.parametrize("index", [0.0, Fraction(0), False], ids=["float", "fraction", "bool"])
     def test_table_indices_must_be_ints(self, index):
-        # equal to 0, but game_to_json would write "1:0.0:0", which
-        # game_from_json cannot read back
+        # equal to 0, but game_to_json would write "1:0.0:0" or
+        # "1:False:0", which game_from_json cannot read back
         for entry in [((ONE, index, 0),), ((ONE, 0, index),)]:
             with pytest.raises(ValueError, match="payoff table entry"):
                 single_node_game(payoff=frozenset({entry}))
@@ -196,6 +196,16 @@ class TestGameSpecValidation:
         tree = FiniteBTree([(ONE,)])
         with pytest.raises(ValueError, match="not a tree node"):
             GameSpec(tree, whole_space_model(), {(ONE,): Fraction(1), **stray}, PAYOFF_SZLENK)
+
+    def test_weights_are_read_only(self):
+        # a write would change how the game is solved, but not its equality
+        # with its own JSON copy
+        game = build_szlenk_game(ONE, TruncationBudget(3), ModelSpace(epsilon=HALF, **W_SZLENK))
+        with pytest.raises(TypeError):
+            game.weights[(ONE,)] = Fraction(0)
+        with pytest.raises(AttributeError, match="^GameSpec is immutable$"):
+            game.weights = {}
+        assert game == game_from_json(game_to_json(game))
 
 
 class TestEvalPayoff:
@@ -422,8 +432,10 @@ class TestVerifyStrategy:
             Strategy("I", {(): ONE}),
             Strategy("I", {(): (ONE, 0.5)}),
             Strategy("II", {((), (ONE, 0)): 0.5}),
+            Strategy("I", {(): (ONE, False)}),
+            Strategy("II", {((), (ONE, 0)): False}),
         ],
-        ids=["one-field-move", "bare-label", "float-subspace", "float-reply"],
+        ids=["one-field-move", "bare-label", "float-subspace", "float-reply", "bool-subspace", "bool-reply"],
     )
     def test_malformed_move_fails(self, strategy):
         # not an error: a move of the wrong shape is an illegal move; I wins
@@ -691,7 +703,7 @@ class TestCompleteSubstrategy:
         with pytest.raises(ValueError, match="illegal move"):
             complete_substrategy(game, Strategy("I", moves), 0)
 
-    @pytest.mark.parametrize("fallback_z", [-1, 2, 0.0], ids=["negative", "too-large", "float"])
+    @pytest.mark.parametrize("fallback_z", [-1, 2, 0.0, False], ids=["negative", "too-large", "float", "bool"])
     def test_fallback_must_be_a_subspace_index(self, fallback_z):
         game = self.make_two_step_game()
         _, strategy = solve(game)
@@ -927,6 +939,12 @@ class TestTextBoundary:
     @given(_HISTORY_TEXTS)
     def test_history_from_text_matches_reference(self, text):
         assert _outcome(history_from_text, text) == _outcome(reference_history_from_text, text)
+
+    @pytest.mark.parametrize("entry", ["1:0", "1:x:0", "x:0:0", "1:0:0;", "1:0:0:0"])
+    def test_table_entry_errors_match_reference(self, entry):
+        data = game_to_json(single_node_game(payoff=frozenset({LEAF})))
+        data["payoff"] = {"table": [entry]}
+        assert _outcome(game_from_json, data) == _outcome(reference_history_from_text, entry)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_HISTORY_TEXTS, max_size=6, unique=True))
