@@ -187,6 +187,8 @@ def _run_family(args) -> None:
         print(",".join(str(label) for label in labels))
     elif args.verb == "truncate":
         _emit_json(family.truncate(_budget(args)).to_json())
+    elif args.limit is not None and not 0 <= args.limit <= sys.maxsize:
+        raise ValueError(f"--limit must be from 0 to {sys.maxsize}")
     elif args.kind == "Gamma":  # branches, with their prefix weights
         for branch, weights in itertools.islice(family.weighted_branches(_budget(args)), args.limit):
             columns = [path_to_text(branch), ",".join(_frac_text(w) for w in weights)]

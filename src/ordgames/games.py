@@ -12,13 +12,16 @@ and some selection x_i from each ball/subspace/compact intersection achieve
 
 Everything is exact: vectors and payoffs are rationals.  The model builds,
 once, a gains table holding each selection set and, per functional, its
-peak value over that set and least maximizer.  One scorer carries a szlenk
-play's partial sums s_f = sum_i w_i * peak_f(z_i, c_i) move by move, as
-exact integers over one common denominator per game, for the solver, the
-playout walk behind verification and extraction, and single leaves.  The
-sums and the tree node decide the rest of the game, so the solver runs
-backward induction on an explicit stack over (node, partial sums) positions
-(over whole histories under a table payoff), memoized, and then writes the
+peak value over that set and least maximizer, from one pass over each
+compact's points that works out each point's norm, subspaces and values
+once.  One scorer carries a szlenk play's partial sums
+s_f = sum_i w_i * peak_f(z_i, c_i) move by move, as exact integers over one
+common denominator per game, for the solver, the playout walk behind
+verification and extraction, and single leaves; within one such call it
+computes each distinct step and each leaf's verdict once.  The sums and the
+tree node decide the rest of the game, so the solver runs backward
+induction on an explicit stack over (node, partial sums) positions (over
+whole histories under a table payoff), memoized, and then writes the
 history-keyed strategy out by walking the plays it reaches.  Tie-breaks are
 deterministic (lexicographically least move), so solver output is
 reproducible byte for byte.
@@ -91,6 +94,8 @@ def _dot(a: Vector, b: Vector) -> Fraction:
 
 def _rational(x) -> Fraction:
     try:
+        if isinstance(x, bool):  # JSON true and false are not numbers
+            raise TypeError
         return Fraction(x)
     except (ZeroDivisionError, TypeError, OverflowError):
         raise ValueError(f"not a rational: {x!r}") from None
@@ -114,10 +119,8 @@ class ModelSpace(_Frozen):
     __slots__ = _FIELDS + ("_gains",)
 
     def __init__(self, dim, subspaces, compacts, functionals, epsilon, norm="max"):
-        try:
-            dim = int(dim)
-        except (TypeError, OverflowError):
-            raise ValueError(f"not an integer dim: {dim!r}") from None
+        if not _is_int(dim):
+            raise ValueError(f"not an integer dim: {dim!r}")
         if dim < 1:
             raise ValueError("dim must be positive")
         vec = lambda entries: self._vector(entries, dim)
@@ -137,24 +140,26 @@ class ModelSpace(_Frozen):
             raise ValueError("epsilon must be positive")
         if norm not in ("max", "sum"):
             raise ValueError(f"unknown norm {norm!r}")
-        gains = tuple(
-            tuple(self._gain(z, points) for points in self.compacts)
-            for z in range(len(self.subspaces))
-        )
+        # per point of the unit ball: which subspaces hold it, and its values
+        # under the functionals, negated (min then finds the peak and, among
+        # its maximizers, the least vector)
+        zs = range(len(self.subspaces))
+        balls = [
+            [(x, [self.in_subspace(z, x) for z in zs], [-_dot(f, x) for f in self.functionals])
+             for x in points if self.norm_value(x) <= 1]
+            for points in self.compacts
+        ]
+        gains = tuple(tuple(self._gain(z, ball) for ball in balls) for z in zs)
         object.__setattr__(self, "_gains", gains)
 
-    def _gain(self, z_index: int, points: Tuple[Vector, ...]):
-        selected = tuple(
-            x for x in points if self.norm_value(x) <= 1 and self.in_subspace(z_index, x)
-        )
+    def _gain(self, z_index: int, ball: list):
+        selected = [(x, negated) for x, held, negated in ball if held[z_index]]
         if not selected:
-            return selected, None
-        peaks = []
-        for xstar in self.functionals:
-            # the largest value, and among its maximizers the least vector
-            negated, x = min((-_dot(xstar, x), x) for x in selected)
-            peaks.append((-negated, x))
-        return selected, tuple(peaks)
+            return (), None
+        peaks = (
+            min((negated[f], x) for x, negated in selected) for f in range(len(self.functionals))
+        )
+        return tuple(x for x, _ in selected), tuple((-negated, x) for negated, x in peaks)
 
     @staticmethod
     def _vector(entries, dim) -> Vector:
@@ -225,8 +230,9 @@ class GameSpec(_Frozen):
         gains, eps = model._gains, model.epsilon
         dw = math.lcm(*(w.denominator for w in weights.values()))
         dp = math.lcm(*(p.denominator for row in gains for _, ps in row for p, _ in ps or ()))
+        scale = lambda p, d: p.numerator * (d // p.denominator)  # p * d, an int, without a Fraction
         int_peaks = tuple(
-            tuple(None if ps is None else tuple(int(p * dp) for p, _ in ps) for _, ps in row)
+            tuple(None if ps is None else tuple(scale(p, dp) for p, _ in ps) for _, ps in row)
             for row in gains
         )
         # the node arena: id 0 is the virtual root, the other ids follow
@@ -242,7 +248,7 @@ class GameSpec(_Frozen):
         nodes = paths[1:]
         object.__setattr__(self, "_kids", tuple(kids))
         object.__setattr__(self, "_labels", (None,) + tuple(path[-1] for path in nodes))
-        object.__setattr__(self, "_int_weights", (0,) + tuple(int(weights[p] * dw) for p in nodes))
+        object.__setattr__(self, "_int_weights", (0,) + tuple(scale(weights[p], dw) for p in nodes))
         object.__setattr__(self, "_int_peaks", int_peaks)
         object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
         if payoff != PAYOFF_SZLENK and any(_leaf_id(self, h) is None for h in payoff):
@@ -314,22 +320,31 @@ def _scorer(game: GameSpec):
     judges a maximal history's state.  Under a table payoff the state is the
     history; under the szlenk payoff, the partial sums times Dw * Dp, or None
     once a reply's selection set is empty.  Each factor peaks on its own for
-    a fixed x*, as the weights are nonnegative.
+    a fixed x*, as the weights are nonnegative.  The szlenk ``step`` and
+    ``ii_wins`` are memoized, in dicts that live as long as this scorer: one
+    call of the solver, the verifier, the extractor or ``eval_payoff``.
     """
     if game.payoff != PAYOFF_SZLENK:
         labels = game._labels
         return (), lambda h, child, zi, ci: h + ((labels[child], zi, ci),), game.payoff.__contains__
     weights, peaks, bar = game._int_weights, game._int_peaks, game._bar
+    steps: Dict[tuple, Optional[tuple]] = {}
+    wins: Dict[Optional[tuple], bool] = {}
 
     def step(sums, child, zi, ci):
-        gains = peaks[zi][ci]
-        if sums is None or gains is None:
-            return None
-        w = weights[child]
-        return tuple(s + w * p for s, p in zip(sums, gains))
+        key = (sums, child, zi, ci)
+        after = steps.get(key, key)  # the key itself stands for a miss
+        if after is key:
+            gains, w = peaks[zi][ci], weights[child]
+            dead = sums is None or gains is None
+            after = steps[key] = None if dead else tuple([s + w * p for s, p in zip(sums, gains)])
+        return after
 
     def ii_wins(sums) -> bool:
-        return sums is not None and any(s >= bar for s in sums)
+        won = wins.get(sums)
+        if won is None:
+            won = wins[sums] = sums is not None and any(s >= bar for s in sums)
+        return won
 
     return (0,) * len(game.model.functionals), step, ii_wins
 
@@ -622,14 +637,17 @@ def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollecti
     compact_choices: Dict[ZDHistory, int] = {}
     functionals: Dict[ZDHistory, Vector] = {}
     selections: Dict[Tuple[ZDHistory, ZDHistory], Vector] = {}
+    witness: Dict[tuple, int] = {}  # the functional's index, per leaf's sums
     for key, move, (sums, prefixes) in _plays(game, strategy, (root, ((),)), step_with_prefixes):
         if move is None or key is None and not ii_wins(sums):
             raise ValueError("strategy is not a verified win for Player II")
         if key is not None:
             compact_choices[prefixes[-1] + (key[1],)] = move
             continue
-        top = max(sums)
-        j = next(j for j in by_vector if sums[j] == top)
+        j = witness.get(sums)
+        if j is None:
+            top = max(sums)
+            j = witness[sums] = next(j for j in by_vector if sums[j] == top)
         pairs = prefixes[-1]
         functionals[pairs] = xstars[j]
         for prefix, (_, zi, ci) in zip(prefixes[1:], move):

@@ -169,6 +169,20 @@ def selection_set(model: ModelSpace, z: int, c: int):
     return out
 
 
+def peaks(model: ModelSpace, z: int, c: int):
+    """Per functional, its largest value over the selection set of subspace z
+    and compact c and the least vector reaching it, from the definition; None
+    when the selection set is empty."""
+    points = selection_set(model, z, c)
+    if not points:
+        return None
+    out = []
+    for xstar in model.functionals:
+        top = max(dot(xstar, x) for x in points)
+        out.append((top, min(x for x in points if dot(xstar, x) == top)))
+    return tuple(out)
+
+
 def payoff_by_enumeration(game: GameSpec, leaf) -> bool:
     """Exhaustive search over functionals and full selection products."""
     model = game.model

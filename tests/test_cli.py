@@ -146,6 +146,12 @@ class TestFamily:
         lines = out.splitlines()
         assert len(lines) == 4 and all(line.endswith("1/1") for line in lines)
 
+    @pytest.mark.parametrize("kind", ["Gamma", "T"])
+    @pytest.mark.parametrize("limit", ["-1", str(sys.maxsize + 1)])
+    def test_branches_limit_out_of_range(self, capsys, kind, limit):
+        result = run_cli(capsys, "family", "branches", kind, "2", "--limit", limit)
+        assert result == (1, "", f"error: --limit must be from 0 to {sys.maxsize}\n")
+
     def test_budget_json_flag(self, capsys):
         flag_form = run_cli(
             capsys, "family", "branches", "Gamma", "1", "--max-n", "3", "--sum"
@@ -408,6 +414,31 @@ class TestGame:
         game["weights"]["1"] = "@"
         game_file.write_text(json.dumps(game).replace('"@"', text))
         assert_domain_error(run_cli(capsys, "game", "solve", str(game_file)))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(dim=2.7), "not an integer dim: 2.7"),
+            (dict(dim="2"), "not an integer dim: '2'"),
+            (dict(dim=True), "not an integer dim: True"),
+            (dict(epsilon=True), "not a rational: True"),
+            (dict(compacts=[[[True, "0"]]]), "not a rational: True"),
+            (dict(functionals=[["1", False]]), "not a rational: False"),
+        ],
+        ids=["float-dim", "text-dim", "bool-dim", "bool-epsilon", "bool-entry", "bool-functional"],
+    )
+    def test_model_numbers_must_be_numbers(self, capsys, tmp_path, change, message):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(dict(W_SZLENK_MODEL, **change)))
+        result = run_cli(capsys, "game", "build", "1", str(model_file))
+        assert result == (1, "", f"error: {message}\n")
+
+    def test_bool_weight_is_a_domain_error(self, capsys, tmp_path):
+        game_file = self.build_game_file(capsys, tmp_path)
+        game = json.loads(game_file.read_text())
+        game["weights"]["1"] = True
+        game_file.write_text(json.dumps(game))
+        assert run_cli(capsys, "game", "solve", str(game_file)) == (1, "", "error: not a rational: True\n")
 
     def test_solve_deterministic(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path, xi="2", max_n="2")

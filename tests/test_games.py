@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import math
 import pickle
 import random
 import sys
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     complete_by_paths,
+    friendly_model,
     maximal_histories,
     payoff_by_enumeration,
+    peaks,
     product_tree_strategy,
     random_game,
     random_model,
@@ -138,6 +141,53 @@ class TestModelSpace:
                 for c in range(len(model.compacts)):
                     assert list(model.selection_set(z, c)) == selection_set(model, z, c)
 
+    @staticmethod
+    def assert_gains_match_definition(model):
+        for z in range(len(model.subspaces)):
+            for c in range(len(model.compacts)):
+                assert model._gains[z][c] == (tuple(selection_set(model, z, c)), peaks(model, z, c))
+
+    def test_gains_match_definition(self):
+        rng = random.Random(4321)
+        for _ in range(60):
+            self.assert_gains_match_definition(random_model(rng))
+            self.assert_gains_match_definition(friendly_model(rng))
+
+    def test_gains_ties_and_no_functionals(self):
+        # three points reach the peak of (1, 1) and two that of (0, 1): the
+        # least of them is kept; the second compact holds one point twice
+        tied = ModelSpace(
+            2,
+            subspaces=[[], [["1", "0"]]],
+            compacts=[[["1", "0"], ["0", "1"], ["1/2", "1/2"], ["-1", "1"]], [["1/2", "1/2"]] * 2],
+            functionals=[["1", "1"], ["0", "1"], ["1", "0"]],
+            epsilon=HALF,
+        )
+        self.assert_gains_match_definition(tied)
+        assert tied._gains[0][0][1][:2] == ((1, (0, 1)), (1, (-1, 1)))
+        assert tied._gains[0][1][1][0] == (1, (HALF, HALF))
+        assert tied._gains[1][1] == ((), None)
+        bare = ModelSpace(2, [[], [["1", "0"]]], [[["1", "0"], ["0", "1"]]], [], HALF)
+        self.assert_gains_match_definition(bare)
+        assert bare._gains[0][0] == (((1, 0), (0, 1)), ())
+
+    @pytest.mark.parametrize(
+        "dim", [2.7, 2.0, "2", True, Fraction(2)], ids=["float", "whole-float", "text", "bool", "fraction"]
+    )
+    def test_dim_must_be_an_int(self, dim):
+        with pytest.raises(ValueError, match=r"^not an integer dim: "):
+            ModelSpace(dim, [[]], [[["1", "0"]]], [["1", "1"]], HALF)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["epsilon", "subspaces", "compacts", "functionals"])
+    def test_bools_are_not_rationals(self, field, value):
+        # JSON true and false are not numbers, though Python counts them as 1 and 0
+        args = dict(dim=1, subspaces=[[]], compacts=[[["1"]]], functionals=[["1"]], epsilon=HALF)
+        args[field] = {"subspaces": [[[value]]], "compacts": [[[value]]],
+                       "functionals": [[value]]}.get(field, value)
+        with pytest.raises(ValueError, match=f"^not a rational: {value}$"):
+            ModelSpace(**args)
+
 
 class TestGameSpecValidation:
     def test_weights_must_cover_tree(self):
@@ -155,6 +205,42 @@ class TestGameSpecValidation:
         tree = FiniteBTree([(ONE,)])
         with pytest.raises(ValueError, match="not a rational"):
             GameSpec(tree, whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_weight_is_a_value_error(self, value):
+        tree = FiniteBTree([(ONE,)])
+        with pytest.raises(ValueError, match=f"^not a rational: {value}$"):
+            GameSpec(tree, whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
+
+    def test_integer_tables_match_fraction_arithmetic(self):
+        # the scorer's integer weights, peaks and bar against the same
+        # quantities worked out in Fractions
+        rng = random.Random(97)
+        checked = 0
+        while checked < 40:
+            game = random_game(rng)
+            if game.payoff != PAYOFF_SZLENK:
+                continue
+            checked += 1
+            gains = [ps for row in game.model._gains for _, ps in row if ps is not None]
+            dw = math.lcm(*(w.denominator for w in game.weights.values()))
+            dp = math.lcm(*(p.denominator for ps in gains for p, _ in ps))
+            paths, kids = {0: ()}, game._kids
+            for node in range(len(kids)):  # parents are numbered before their children
+                for label, child in kids[node].items():
+                    paths[child] = paths[node] + (label,)
+                    assert game._labels[child] == label
+            assert sorted(paths.values())[1:] == sorted(game.tree.nodes)
+            assert game._int_weights[0] == 0
+            for node, path in paths.items():
+                if path:
+                    assert type(game._int_weights[node]) is int
+                    assert game._int_weights[node] == game.weights[path] * dw
+            for row, int_row in zip(game.model._gains, game._int_peaks):
+                for (_, ps), int_ps in zip(row, int_row):
+                    assert int_ps == (None if ps is None else tuple(p * dp for p, _ in ps))
+                    assert all(type(p) is int for p in int_ps or ())
+            assert game._bar == math.ceil(game.model.epsilon * dw * dp)
 
     def test_invalid_tree_rejected(self):
         with pytest.raises(ValueError):
@@ -959,6 +1045,39 @@ class TestTextBoundary:
             return strategy_from_json(data).moves
 
         assert _outcome(read, keys) == _outcome(reference, keys)
+
+
+class TestCallsCarryNoState:
+    """Each call keeps its memo to itself: calls repeated, in either order,
+    give the same results."""
+
+    CALLS = {
+        "solve": lambda game, strategy, leaves: solve(game),
+        "verify": lambda game, strategy, leaves: verify_strategy(game, strategy),
+        "extract": lambda game, strategy, leaves: _outcome(extract_collections, game, strategy),
+        "payoff": lambda game, strategy, leaves: [eval_payoff(game, leaf) for leaf in leaves],
+    }
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_repeat_calls_in_either_order_agree(self, seed):
+        rng = random.Random(seed)
+        cases = []
+        for _ in range(2):
+            game = random_game(rng)
+            leaves = maximal_histories(game)
+            rng.shuffle(leaves)
+            cases.append((game, solve(game)[1], leaves))
+        # two games' calls interleaved; each game's calls in both orders, each order twice
+        runs = [[], []]
+        forward = list(self.CALLS)
+        for order in (forward, forward[::-1]):
+            for _ in range(2):
+                for case, got in zip(cases, runs):
+                    got.append({name: self.CALLS[name](*case) for name in order})
+        for (_, strategy, _), got in zip(cases, runs):
+            assert all(run == got[0] for run in got)
+            assert got[0]["solve"] == (strategy.player, strategy)
+            assert got[0]["verify"] is True
 
 
 class TestDeepChain:
