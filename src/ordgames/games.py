@@ -14,7 +14,9 @@ Everything is exact: vectors and payoffs are rationals.  The model builds,
 once, a gains table holding each selection set and, per functional, its
 peak value over that set and least maximizer, from one pass over each
 compact's points that works out each point's norm, subspaces and values
-once.  One scorer carries a szlenk play's partial sums
+once, in integers: the points, the functionals and the subspace rows are
+scaled by the lcms of their denominators, and only each peak becomes a
+rational again.  One scorer carries a szlenk play's partial sums
 s_f = sum_i w_i * peak_f(z_i, c_i) move by move, as exact integers over one
 common denominator per game, for the solver, the playout walk behind
 verification and extraction, and single leaves; within one such call it
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -88,11 +90,16 @@ Offer = Tuple[Ordinal, int]
 ZDHistory = Tuple[Offer, ...]
 
 
-def _dot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _on_ints(vectors) -> Tuple[int, List[List[int]]]:
+    """(d, the vectors times d as lists of ints), d the lcm of the entries'
+    denominators (1 when there are none), with no Fraction operation."""
+    d = math.lcm(*(x.denominator for v in vectors for x in v))
+    return d, [[x.numerator * (d // x.denominator) for x in v] for v in vectors]
 
 
 def _rational(x) -> Fraction:
+    if type(x) is Fraction:  # immutable, so taken as it is
+        return x
     try:
         if isinstance(x, bool):  # JSON true and false are not numbers
             raise TypeError
@@ -109,10 +116,12 @@ class ModelSpace(_Frozen):
     point sets, ``functionals`` the available covectors, and ``norm`` fixes
     the unit ball ("max" or "sum").  All scalars are exact rationals.
 
-    The gains table is built once: ``_gains[z][c]`` holds the selection set
-    of subspace z and compact c, and, per functional, the pair (peak value
-    over that set, least maximizer); the per-functional part is None when
-    the selection set is empty.
+    The gains table is built once, on integers: ``_gains[z][c]`` holds the
+    selection set of subspace z and compact c, and, per functional, the pair
+    (peak value over that set, least maximizer); the per-functional part is
+    None when the selection set is empty.  The ball, subspace and value
+    tests are int sums over vectors scaled by the lcms of their denominators
+    (one per compact, one for the functionals, one per subspace matrix).
     """
 
     _FIELDS = ("dim", "subspaces", "compacts", "functionals", "epsilon", "norm")
@@ -141,25 +150,31 @@ class ModelSpace(_Frozen):
         if norm not in ("max", "sum"):
             raise ValueError(f"unknown norm {norm!r}")
         # per point of the unit ball: which subspaces hold it, and its values
-        # under the functionals, negated (min then finds the peak and, among
-        # its maximizers, the least vector)
-        zs = range(len(self.subspaces))
-        balls = [
-            [(x, [self.in_subspace(z, x) for z in zs], [-_dot(f, x) for f in self.functionals])
-             for x in points if self.norm_value(x) <= 1]
-            for points in self.compacts
-        ]
-        gains = tuple(tuple(self._gain(z, ball) for ball in balls) for z in zs)
+        # under the functionals times df * dc, negated (min then finds the
+        # peak and, among its maximizers, the least vector)
+        size = max if norm == "max" else sum
+        matrices = [_on_ints(m)[1] for m in self.subspaces]
+        df, xstars = _on_ints(self.functionals)
+        balls = []
+        for points in self.compacts:
+            dc, scaled = _on_ints(points)
+            ball = [
+                (x, [all(sum(map(mul, row, xi)) == 0 for row in m) for m in matrices],
+                 [-sum(map(mul, f, xi)) for f in xstars])
+                for x, xi in zip(points, scaled) if size(map(abs, xi)) <= dc
+            ]
+            balls.append((ball, df * dc))
+        gains = tuple(tuple(self._gain(z, *ball) for ball in balls) for z in range(len(matrices)))
         object.__setattr__(self, "_gains", gains)
 
-    def _gain(self, z_index: int, ball: list):
+    def _gain(self, z_index: int, ball: list, d: int):
         selected = [(x, negated) for x, held, negated in ball if held[z_index]]
         if not selected:
             return (), None
         peaks = (
             min((negated[f], x) for x, negated in selected) for f in range(len(self.functionals))
         )
-        return tuple(x for x, _ in selected), tuple((-negated, x) for negated, x in peaks)
+        return tuple(x for x, _ in selected), tuple((Fraction(-negated, d), x) for negated, x in peaks)
 
     @staticmethod
     def _vector(entries, dim) -> Vector:
@@ -175,12 +190,11 @@ class ModelSpace(_Frozen):
         )
 
     def norm_value(self, x: Vector) -> Fraction:
-        if self.norm == "max":
-            return max(abs(c) for c in x)
-        return sum((abs(c) for c in x), Fraction(0))
+        return (max if self.norm == "max" else sum)(map(abs, self._vector(x, self.dim)))
 
     def in_subspace(self, index: int, x: Vector) -> bool:
-        return all(_dot(row, x) == 0 for row in self.subspaces[index])
+        x = self._vector(x, self.dim)
+        return all(sum(map(mul, row, x)) == 0 for row in self.subspaces[index])
 
     def selection_set(self, z_index: int, c_index: int) -> Tuple[Vector, ...]:
         """Points of compact c that lie in subspace z and in the unit ball."""
@@ -216,7 +230,7 @@ class GameSpec(_Frozen):
             w = weights.get(node)
             if w is None:
                 raise ValueError(f"no weight for node {path_to_text(node)}")
-            if not 0 <= w <= 1:
+            if not 0 <= w.numerator <= w.denominator:
                 raise ValueError(f"weight {w} outside [0, 1]")
         if len(weights) > len(tree):
             stray = next(path for path in weights if path not in tree.nodes)
@@ -366,7 +380,10 @@ def _leaf_id(game: GameSpec, history: History) -> Optional[int]:
 
 def eval_payoff(game: GameSpec, leaf: History) -> bool:
     """Does the terminal history belong to the payoff set?"""
-    leaf = tuple(tuple(m) for m in leaf)
+    try:
+        leaf = tuple(tuple(m) for m in leaf)
+    except TypeError:  # not a sequence of moves
+        leaf = None
     if _leaf_id(game, leaf) is None:
         raise ValueError("leaf is not a maximal history")
     state, step, ii_wins = _scorer(game)

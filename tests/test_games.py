@@ -171,6 +171,59 @@ class TestModelSpace:
         self.assert_gains_match_definition(bare)
         assert bare._gains[0][0] == (((1, 0), (0, 1)), ())
 
+    @pytest.mark.parametrize("norm", ["max", "sum"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_gains_over_distinct_denominators(self, dim, norm):
+        # the gains pass scales each compact's points, the functionals and
+        # each subspace matrix by the lcm of their denominators: here the
+        # points' denominators are coprime, one compact is empty, and rows
+        # and functionals each have their own denominators
+        def vec(*entries):
+            return [entries[i % len(entries)] for i in range(dim)]
+
+        model = ModelSpace(
+            dim,
+            subspaces=[[], [vec("1/4", "-1/6", "1/10")], [vec("2/3", "0", "5/7"), vec("-1/8", "3/5", "1")]],
+            compacts=[
+                [vec("1/7", "2/9", "5/11"), vec("-6/7", "1/9", "-2/11"), vec("1", "-1/13", "0")],
+                [],
+                [vec("9/11"), vec("-1/7"), vec("3/4", "-3/4", "3/8")],
+            ],
+            functionals=[vec("1/3", "-2/5", "1/7"), vec("3/8"), vec("-5/6", "1", "0")],
+            epsilon=HALF,
+            norm=norm,
+        )
+        self.assert_gains_match_definition(model)
+        assert all(row[1] == ((), None) for row in model._gains)
+        assert any(ps and any(p.denominator > 50 for p, _ in ps) for row in model._gains for _, ps in row)
+
+    @pytest.mark.parametrize("norm", ["max", "sum"])
+    def test_gains_of_scaled_w_szlenk(self, norm):
+        # every entry times 7/9: within the max-norm ball, every point of
+        # W-szlenk stays selected and every peak is (7/9)^2 times its own
+        scale = Fraction(7, 9)
+        scaled = {key: [[[Fraction(x) * scale for x in v] for v in m] for m in W_SZLENK[key]]
+                  for key in ("subspaces", "compacts")}
+        scaled["functionals"] = [[Fraction(x) * scale for x in f] for f in W_SZLENK["functionals"]]
+        model = ModelSpace(2, epsilon=HALF, norm=norm, **scaled)
+        self.assert_gains_match_definition(model)
+        if norm == "max":
+            plain = ModelSpace(epsilon=HALF, **W_SZLENK)
+            for row, plain_row in zip(model._gains, plain._gains):
+                for (points, ps), (plain_points, plain_ps) in zip(row, plain_row):
+                    assert points == tuple(tuple(x * scale for x in v) for v in plain_points)
+                    assert [p for p, _ in ps or ()] == [p * scale**2 for p, _ in plain_ps or ()]
+
+    @pytest.mark.parametrize("x", [(), ("1",), ("1", "0", "0")], ids=["empty", "short", "long"])
+    def test_vectors_of_the_wrong_length_rejected(self, x):
+        # zip would cut a vector short, and max of nothing has its own message
+        model = ModelSpace(epsilon=HALF, **W_SZLENK)
+        message = f"^vector of length {len(x)}, expected 2$"
+        with pytest.raises(ValueError, match=message):
+            model.in_subspace(1, x)
+        with pytest.raises(ValueError, match=message):
+            model.norm_value(x)
+
     @pytest.mark.parametrize(
         "dim", [2.7, 2.0, "2", True, Fraction(2)], ids=["float", "whole-float", "text", "bool", "fraction"]
     )
@@ -199,6 +252,18 @@ class TestGameSpecValidation:
         tree = FiniteBTree([(ONE,)])
         with pytest.raises(ValueError):
             GameSpec(tree, whole_space_model(), {(ONE,): Fraction(3, 2)}, PAYOFF_SZLENK)
+
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(1), 1, "1/2"], ids=["0", "1", "int-1", "text"])
+    def test_weights_in_the_unit_interval_accepted(self, value):
+        game = GameSpec(FiniteBTree([(ONE,)]), whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
+        assert type(game.weights[(ONE,)]) is Fraction
+        assert game.weights[(ONE,)] == Fraction(value)
+
+    @pytest.mark.parametrize("value", [Fraction(-1, 2), Fraction(3, 2), -1, "3/2"])
+    def test_weights_outside_the_unit_interval_rejected(self, value):
+        tree = FiniteBTree([(ONE,)])
+        with pytest.raises(ValueError, match=r"^weight -?\d+(/\d+)? outside \[0, 1\]$"):
+            GameSpec(tree, whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
     def test_infinite_weight_is_a_value_error(self, value):
@@ -323,6 +388,12 @@ class TestEvalPayoff:
                      ((ONE, 0.0, 0),), ((ONE, 0, Fraction(0)),)]:
             with pytest.raises(ValueError):
                 eval_payoff(game, leaf)
+
+    @pytest.mark.parametrize("payoff", [PAYOFF_SZLENK, frozenset({LEAF})], ids=["szlenk", "table"])
+    @pytest.mark.parametrize("leaf", [[5], None, 5, [LEAF[0], 5]], ids=["int-move", "none", "int", "int-tail"])
+    def test_leaf_of_non_sequences_rejected(self, payoff, leaf):
+        with pytest.raises(ValueError, match="^leaf is not a maximal history$"):
+            eval_payoff(single_node_game(payoff=payoff), leaf)
 
     def test_no_functionals_means_false(self):
         game = single_node_game(whole_space_model(functionals=()))
