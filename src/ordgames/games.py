@@ -19,22 +19,24 @@ scaled by the lcms of their denominators, and only each peak becomes a
 rational again.  One scorer carries a szlenk play's partial sums
 s_f = sum_i w_i * peak_f(z_i, c_i) move by move, as exact integers over one
 common denominator per game, for the solver, the playout walk behind
-verification and extraction, and single leaves; within one such call it
-computes each distinct step and each leaf's verdict once.  The sums and the
-tree node decide the rest of the game, so the solver runs backward
-induction on an explicit stack over (node, partial sums) positions (over
-whole histories under a table payoff), memoized, and then writes the
-history-keyed strategy out by walking the plays it reaches.  Tie-breaks are
-deterministic (lexicographically least move), so solver output is
-reproducible byte for byte.
+verification and extraction, and single leaves; its memos live in the game,
+so over all calls on one game each distinct step and each leaf's verdict is
+computed once.  The sums and the tree node decide the rest of the game, so
+the solver runs backward induction on an explicit stack over (node, partial
+sums) positions (over whole histories under a table payoff), memoized, and
+then writes the history-keyed strategy out by walking the plays it reaches.
+Tie-breaks are deterministic (lexicographically least move), so solver
+output is reproducible byte for byte.
 
 Each game numbers its tree nodes once, in a node arena: id 0 is the virtual
 root, and per id it keeps the node's children as {label: child id} in sorted
-label order, its last label and its integer weight.  Every walk moves
-through node ids, so none hashes a path of ``Ordinal`` labels to find a
-child, a weight or whether a node is maximal.  Histories of labels remain
-only where the output needs them: the keys of ``Strategy.moves`` and of
-``ExtractedCollections``.  One rule decides a legal Player-I prescription,
+label order, its last label and its integer weight, and, from the first walk
+through the node on, its offers with their (label, subspace) and (label,
+subspace, compact) tuples.  Every walk moves through node ids, so none
+hashes a path of ``Ordinal`` labels to find a child, a weight or whether a
+node is maximal.  Histories of labels remain only where the output needs
+them, in the keys of ``Strategy.moves`` and of ``ExtractedCollections``, and
+share those tuples.  One rule decides a legal Player-I prescription,
 ``_offer_child``, for the playout walk and for substrategy completion (one
 walk over the non-maximal product tree), and one a legal maximal history,
 ``_leaf_id``, for the payoff table and single leaves.
@@ -210,11 +212,14 @@ class GameSpec(_Frozen):
     label; and for the szlenk payoff on integers, per id ``_int_weights``, the
     node weight times Dw, the gains table's peaks times Dp (Dw and Dp the lcms
     of their denominators), and ``_bar``, the least sum that reaches
-    epsilon * Dw * Dp.
+    epsilon * Dw * Dp.  Filled by the walks, for all of them: per node id its
+    offers (``_offers``), and the szlenk memos of ``_scorer`` and of
+    ``extract_collections``; not fields, so a pickle or copy starts empty.
     """
 
     _FIELDS = ("tree", "model", "weights", "payoff")
-    __slots__ = _FIELDS + ("_kids", "_labels", "_int_weights", "_int_peaks", "_bar")
+    __slots__ = _FIELDS + ("_kids", "_labels", "_int_weights", "_int_peaks", "_bar",
+                           "_offer_table", "_steps", "_wins", "_witness")
 
     def __init__(
         self,
@@ -265,6 +270,8 @@ class GameSpec(_Frozen):
         object.__setattr__(self, "_int_weights", (0,) + tuple(scale(weights[p], dw) for p in nodes))
         object.__setattr__(self, "_int_peaks", int_peaks)
         object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
+        for memo in ("_offer_table", "_steps", "_wins", "_witness"):
+            object.__setattr__(self, memo, {})
         if payoff != PAYOFF_SZLENK and any(_leaf_id(self, h) is None for h in payoff):
             raise ValueError("payoff table entry is not a maximal history")
 
@@ -326,26 +333,48 @@ class ExtractedCollections(NamedTuple):
 # -- payoff ------------------------------------------------------------------
 
 
+def _offers(game: GameSpec, node: int) -> tuple:
+    """The offers at node ``node``, by child id and then subspace zi, each
+    ``(child id, zi, (label, zi), its moves (label, zi, ci) by ci)``, built
+    on the first walk through the node; every walk's histories and keys share
+    these tuples.  A node's children have consecutive ids (``_offer``)."""
+    found = game._offer_table.get(node)
+    if found is None:
+        compacts = range(game.n_compacts)
+        found = game._offer_table[node] = tuple(
+            (child, zi, offer, tuple([(*offer, ci) for ci in compacts]))
+            for zeta, child in game._kids[node].items()
+            for zi in range(game.n_subspaces)
+            for offer in [(zeta, zi)]
+        )
+    return found
+
+
+def _offer(game: GameSpec, node: int, child: int, zi: int) -> tuple:
+    table = _offers(game, node)
+    return table[(child - table[0][0]) * game.n_subspaces + zi]
+
+
 def _scorer(game: GameSpec):
     """(root state, step, ii_wins): the payoff of a play, scored move by move.
 
-    ``step(state, child, zi, ci)`` is the state after the move to the node
-    with arena id ``child`` with subspace zi and compact ci; ``ii_wins``
-    judges a maximal history's state.  Under a table payoff the state is the
-    history; under the szlenk payoff, the partial sums times Dw * Dp, or None
-    once a reply's selection set is empty.  Each factor peaks on its own for
-    a fixed x*, as the weights are nonnegative.  The szlenk ``step`` and
-    ``ii_wins`` are memoized, in dicts that live as long as this scorer: one
-    call of the solver, the verifier, the extractor or ``eval_payoff``.
+    ``step(state, offer, ci)`` is the state after the move of ``offer``, an
+    entry of ``_offers``, with compact ci; ``ii_wins`` judges a maximal
+    history's state.  Under a table payoff the state is the history; under
+    the szlenk payoff, the partial sums times Dw * Dp, or None once a reply's
+    selection set is empty.  Each factor peaks on its own for a fixed x*, as
+    the weights are nonnegative.  The szlenk ``step`` is memoized on
+    ``(sums, child, zi, ci)`` and ``ii_wins`` on the sums, in the game's
+    dicts: the solver, the verifier, the extractor and ``eval_payoff`` each
+    find there every step and verdict an earlier call on the game computed.
     """
     if game.payoff != PAYOFF_SZLENK:
-        labels = game._labels
-        return (), lambda h, child, zi, ci: h + ((labels[child], zi, ci),), game.payoff.__contains__
+        return (), lambda h, offer, ci: h + (offer[3][ci],), game.payoff.__contains__
     weights, peaks, bar = game._int_weights, game._int_peaks, game._bar
-    steps: Dict[tuple, Optional[tuple]] = {}
-    wins: Dict[Optional[tuple], bool] = {}
+    steps, wins = game._steps, game._wins
 
-    def step(sums, child, zi, ci):
+    def step(sums, offer, ci):
+        child, zi, _, _ = offer
         key = (sums, child, zi, ci)
         after = steps.get(key, key)  # the key itself stands for a miss
         if after is key:
@@ -387,10 +416,10 @@ def eval_payoff(game: GameSpec, leaf: History) -> bool:
     if _leaf_id(game, leaf) is None:
         raise ValueError("leaf is not a maximal history")
     state, step, ii_wins = _scorer(game)
-    child = 0
+    node = 0
     for label, zi, ci in leaf:
-        child = game._kids[child][label]
-        state = step(state, child, zi, ci)
+        offer = _offer(game, node, game._kids[node][label], zi)
+        state, node = step(state, offer, ci), offer[0]
     return ii_wins(state)
 
 
@@ -407,29 +436,27 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     the szlenk payoff (None once a reply's selection set is empty: no leaf
     below it wins for II), and with the whole history under a table payoff.
     Each position is decided once, on an explicit stack; the strategy then
-    prescribes a move at every history its own plays reach.
+    prescribes a move at every history its own plays reach, with the game's
+    offer and move tuples (``_offers``).
     """
-    kids, labels = game._kids, game._labels
-    n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
+    kids, n_compacts = game._kids, game.n_compacts
     root, step, ii_wins = _scorer(game)
 
     def decide(node: int, state):
         # yields each non-terminal child position it needs decided and is
-        # sent back whether I wins there; returns (True, least winning offer
-        # as (child id, subspace)) or (False, least winning reply for each
-        # offer in order)
+        # sent back whether I wins there; returns (True, least winning offer)
+        # or (False, least winning reply for each offer in order)
         replies = []
-        for child in kids[node].values():
-            terminal = not kids[child]
-            for zi in range(n_subspaces):
-                for ci in range(n_compacts):
-                    after = step(state, child, zi, ci)
-                    i_won = not ii_wins(after) if terminal else (yield child, after)
-                    if not i_won:
-                        replies.append(ci)
-                        break
-                else:
-                    return True, (child, zi)
+        for offer in _offers(game, node):
+            terminal = not kids[offer[0]]
+            for ci in range(n_compacts):
+                after = step(state, offer, ci)
+                i_won = not ii_wins(after) if terminal else (yield offer[0], after)
+                if not i_won:
+                    replies.append(ci)
+                    break
+            else:
+                return True, offer
         return False, replies
 
     decided: Dict[tuple, tuple] = {}
@@ -457,18 +484,15 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
         history, node, state = plays.pop()
         choice = decided[(node, state)][1]
         if i_wins:
-            child, zi = choice
-            moves[history] = (labels[child], zi)
-            branches = [(child, zi, ci) for ci in range(n_compacts)]
+            moves[history] = choice[2]
+            branches = [(choice, ci) for ci in range(n_compacts)]
         else:
-            offers = [(child, zi) for child in kids[node].values() for zi in range(n_subspaces)]
-            branches = [offer + (ci,) for offer, ci in zip(offers, choice)]
-            for child, zi, ci in branches:
-                moves[(history, (labels[child], zi))] = ci
-        for child, zi, ci in branches:
-            if kids[child]:
-                move = (labels[child], zi, ci)
-                plays.append((history + (move,), child, step(state, child, zi, ci)))
+            branches = list(zip(_offers(game, node), choice))
+            for offer, ci in branches:
+                moves[(history, offer[2])] = ci
+        for offer, ci in branches:
+            if kids[offer[0]]:
+                plays.append((history + (offer[3][ci],), offer[0], step(state, offer, ci)))
     winner = "I" if i_wins else "II"
     return winner, Strategy(winner, moves)
 
@@ -493,53 +517,47 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     """Walk every play consistent with ``strategy``, without recursion.
 
     Carries a state down the walk: ``root`` at the empty history and
-    ``step`` at each move, as ``_scorer`` gives.  Yields ``(key, move,
-    state)`` at each prescription met: ``key`` is a history for Player I and
-    a (history, offer) pair for Player II, and ``state`` is the history's.
-    ``move`` is None when the prescription is missing or illegal (for Player
-    I as ``_offer_child`` decides; for Player II not an int index in range),
-    and the walk does not go below it.  Yields ``(None, leaf, state)`` at
-    each maximal history.
+    ``step`` at each move, as ``_scorer`` gives.  Yields ``(leaf, state)`` at
+    each maximal history, built of the game's move tuples (``_offers``), and
+    ends with ``(None, state)`` at the first prescription that is missing or
+    illegal: for Player I as ``_offer_child`` decides, for Player II a reply
+    that is not an int index in range.
     """
-    kids = game._kids
-    n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
+    kids, n_compacts, moves = game._kids, game.n_compacts, strategy.moves
     stack: List[Tuple[History, int, object]] = [((), 0, root)]
     while stack:
         history, node, state = stack.pop()
         if strategy.player == "I":
-            move = strategy.moves.get(history)
+            move = moves.get(history)
             child = _offer_child(game, node, move)
             if child is None:
-                yield history, None, state
-                continue
-            yield history, move, state
-            zeta, zi = move
-            branches = [(child, (zeta, zi, ci)) for ci in range(n_compacts)]
+                yield None, state
+                return
+            _, zi = move
+            offer = _offer(game, node, child, zi)
+            branches = [(offer, ci) for ci in range(n_compacts)]
         else:
             branches = []
-            for zeta, child in kids[node].items():
-                for zi in range(n_subspaces):
-                    offer = (zeta, zi)
-                    ci = strategy.moves.get((history, offer))
-                    if not (_is_int(ci) and 0 <= ci < n_compacts):
-                        yield (history, offer), None, state
-                        continue
-                    yield (history, offer), ci, state
-                    branches.append((child, (zeta, zi, ci)))
-        for child, move in branches:
-            after = step(state, child, move[1], move[2])
-            if kids[child]:
-                stack.append((history + (move,), child, after))
+            for offer in _offers(game, node):
+                ci = moves.get((history, offer[2]))
+                if not (_is_int(ci) and 0 <= ci < n_compacts):
+                    yield None, state
+                    return
+                branches.append((offer, ci))
+        for offer, ci in branches:
+            after = step(state, offer, ci)
+            if kids[offer[0]]:
+                stack.append((history + (offer[3][ci],), offer[0], after))
             else:
-                yield None, history + (move,), after
+                yield history + (offer[3][ci],), after
 
 
 def verify_strategy(game: GameSpec, strategy: Strategy) -> bool:
     """Exhaustively play every admissible playout; True iff all favor the owner."""
     owner_is_ii = strategy.player == "II"
     root, step, ii_wins = _scorer(game)
-    for key, move, state in _plays(game, strategy, root, step):
-        if move is None or key is None and ii_wins(state) != owner_is_ii:
+    for leaf, state in _plays(game, strategy, root, step):
+        if leaf is None or ii_wins(state) != owner_is_ii:
             return False
     return True
 
@@ -590,15 +608,15 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
     """
     if sub.player != "I":
         raise ValueError("substrategy completion is for Player I")
-    kids, n_subspaces, n_compacts = game._kids, game.n_subspaces, game.n_compacts
-    if not (_is_int(fallback_z) and 0 <= fallback_z < n_subspaces):
+    kids = game._kids
+    if not (_is_int(fallback_z) and 0 <= fallback_z < game.n_subspaces):
         raise ValueError("fallback subspace index out of range")
     total: Dict[History, Offer] = {}
     met = 0
     stack: List[Tuple[History, int, bool]] = [((), 0, True)]
     while stack:
         history, node, on_play = stack.pop()
-        children = kids[node]
+        offers = _offers(game, node)
         if history in sub.moves:
             met += 1
             move = sub.moves[history]
@@ -608,14 +626,11 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
         elif on_play:
             raise ValueError("substrategy is undefined at a reachable position")
         else:
-            move = total[history] = (next(iter(children)), fallback_z)
-        for zeta, child in children.items():
-            if not kids[child]:
-                continue
-            for zi in range(n_subspaces):
-                played = on_play and (zeta, zi) == move
-                for ci in range(n_compacts):
-                    stack.append((history + ((zeta, zi, ci),), child, played))
+            move = total[history] = offers[fallback_z][2]
+        for child, _, offer, moves in offers:
+            if kids[child]:
+                played = on_play and offer == move
+                stack.extend((history + (m,), child, played) for m in moves)
     if met < len(sub.moves):
         raise ValueError("substrategy domain leaves the non-maximal tree")
     return Strategy("I", total)
@@ -642,32 +657,32 @@ def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollecti
         raise ValueError("collection extraction needs a strategy for Player II")
     gains, xstars = game.model._gains, game.model.functionals
     by_vector = sorted(range(len(xstars)), key=xstars.__getitem__)
-    labels = game._labels
     root, step, ii_wins = _scorer(game)
-
-    def step_with_prefixes(state, child, zi, ci):
-        # the partial sums, and the (label, subspace) prefixes of the history,
-        # the empty one first, shared with every history below it
-        sums, prefixes = state
-        return step(sums, child, zi, ci), prefixes + (prefixes[-1] + ((labels[child], zi),),)
-
     compact_choices: Dict[ZDHistory, int] = {}
     functionals: Dict[ZDHistory, Vector] = {}
     selections: Dict[Tuple[ZDHistory, ZDHistory], Vector] = {}
-    witness: Dict[tuple, int] = {}  # the functional's index, per leaf's sums
-    for key, move, (sums, prefixes) in _plays(game, strategy, (root, ((),)), step_with_prefixes):
-        if move is None or key is None and not ii_wins(sums):
+    witness = game._witness  # the functional's index, per leaf's sums
+
+    def step_with_prefixes(state, offer, ci):
+        # the partial sums, and the (label, subspace) prefixes of the history,
+        # the empty one first, shared with every history below it; the walk
+        # steps once per reply the strategy prescribes, so the new prefix
+        # keys that reply's compact choice
+        sums, prefixes = state
+        pairs = prefixes[-1] + (offer[2],)
+        compact_choices[pairs] = ci
+        return step(sums, offer, ci), prefixes + (pairs,)
+
+    for leaf, (sums, prefixes) in _plays(game, strategy, (root, ((),)), step_with_prefixes):
+        if leaf is None or not ii_wins(sums):
             raise ValueError("strategy is not a verified win for Player II")
-        if key is not None:
-            compact_choices[prefixes[-1] + (key[1],)] = move
-            continue
         j = witness.get(sums)
         if j is None:
             top = max(sums)
             j = witness[sums] = next(j for j in by_vector if sums[j] == top)
         pairs = prefixes[-1]
         functionals[pairs] = xstars[j]
-        for prefix, (_, zi, ci) in zip(prefixes[1:], move):
+        for prefix, (_, zi, ci) in zip(prefixes[1:], leaf):
             selections[(prefix, pairs)] = gains[zi][ci][1][j][1]
     return ExtractedCollections(compact_choices, functionals, selections)
 

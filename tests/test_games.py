@@ -1119,8 +1119,8 @@ class TestTextBoundary:
 
 
 class TestCallsCarryNoState:
-    """Each call keeps its memo to itself: calls repeated, in either order,
-    give the same results."""
+    """Calls repeated, in either order, give the same results: the memos a
+    game shares between its calls change no answer."""
 
     CALLS = {
         "solve": lambda game, strategy, leaves: solve(game),
@@ -1149,6 +1149,103 @@ class TestCallsCarryNoState:
             assert all(run == got[0] for run in got)
             assert got[0]["solve"] == (strategy.player, strategy)
             assert got[0]["verify"] is True
+
+
+class TestGameMemo:
+    """A game's memos and move tuples, filled by whatever call came first,
+    change no output; a pickle or copy starts with them empty."""
+
+    @staticmethod
+    def outputs(game, strategy=None):
+        """The texts of solve (unless a strategy is given), verify and extract."""
+        texts = []
+        if strategy is None:
+            winner, strategy = solve(game)
+            texts += [winner, json.dumps(strategy_to_json(strategy))]
+        texts.append(verify_strategy(game, strategy))
+        if game.payoff == PAYOFF_SZLENK and strategy.player == "II":
+            extracted = _outcome(extract_collections, game, strategy)
+            if isinstance(extracted, ExtractedCollections):
+                extracted = json.dumps(collections_to_json(extracted))
+            texts.append(extracted)
+        return texts
+
+    @staticmethod
+    def memos(game):
+        return [game._offer_table, game._steps, game._wins, game._witness]
+
+    @classmethod
+    def probes(cls, game, strategy, rng):
+        """Calls off the solver's path: every leaf's payoff, then verify and
+        extract on forged strategies (one move changed, one missing, one out
+        of range) and on the loser's strategy of least moves everywhere."""
+        leaves = maximal_histories(game)
+        out = [eval_payoff(game, leaf) for leaf in leaves]
+        player, moves = strategy.player, strategy.moves
+        key = rng.choice(list(moves))
+        out_of_range = (ONE, game.n_subspaces) if player == "I" else game.n_compacts
+        forged = [
+            TestVerifyStrategy.flip_one_move(game, strategy, rng),
+            Strategy(player, {k: v for k, v in moves.items() if k != key}),
+            Strategy(player, {**moves, key: out_of_range}),
+        ]
+        if player == "I":
+            loser = {(leaf[:i], m[:2]): 0 for leaf in leaves for i, m in enumerate(leaf)}
+        else:
+            least = lambda h: game.tree.children_labels(tuple(m[0] for m in h))[0]
+            loser = {leaf[:i]: (least(leaf[:i]), 0) for leaf in leaves for i in range(len(leaf))}
+        forged.append(Strategy("II" if player == "I" else "I", loser))
+        for candidate in filter(None, forged):
+            out += cls.outputs(game, candidate)
+        return out
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_warmed_memos_change_no_output(self, seed):
+        rng = random.Random(seed)
+        if seed < 4:
+            model = ModelSpace(epsilon=(HALF, Fraction(3, 4))[seed % 2], **W_SZLENK)
+            game = build_szlenk_game(Ordinal(seed // 2 + 1), TruncationBudget(2), model)
+        else:
+            game = random_game(rng)
+        fresh = game_from_json(json.loads(json.dumps(game_to_json(game))))
+        _, oracle = product_tree_strategy(game)
+        # the warmed game first meets the probes, the fresh game the pipeline
+        probed = self.probes(game, oracle, random.Random(seed))
+        if game.payoff == PAYOFF_SZLENK:
+            assert game._steps and game._wins and not fresh._steps
+        assert self.outputs(game) == self.outputs(fresh)
+        assert self.probes(fresh, oracle, random.Random(seed)) == probed
+
+    def test_pickle_and_copy_start_with_empty_memos(self):
+        game = build_szlenk_game(ONE, TruncationBudget(3), ModelSpace(epsilon=HALF, **W_SZLENK))
+        want = self.outputs(game)
+        assert all(self.memos(game))
+        for restore in (lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy):
+            restored = restore(game)
+            assert restored == game
+            assert not any(self.memos(restored))
+            assert self.outputs(restored) == want
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_results_do_not_depend_on_tuple_identity(self, seed):
+        # a deep copy and a JSON read-back share no tuple with the game's
+        # offer table; they verify and extract as the solver's own strategy
+        rng = random.Random(seed)
+        if seed < 2:
+            eps = (HALF, Fraction(3, 4))[seed]
+            game = build_szlenk_game(ONE, TruncationBudget(3), ModelSpace(epsilon=eps, **W_SZLENK))
+        else:
+            game = random_game(rng)
+        _, strategy = solve(game)
+        want = self.outputs(game, strategy)
+        text = json.dumps(strategy_to_json(strategy))
+        for other in (copy.deepcopy(strategy), strategy_from_json(text)):
+            assert other == strategy and json.dumps(strategy_to_json(other)) == text
+            assert set(map(id, other.moves)) & set(map(id, strategy.moves)) <= {id(())}
+            assert self.outputs(game, other) == want
+            # on a fresh game, the copy's walk builds the offer table
+            fresh = game_from_json(json.loads(json.dumps(game_to_json(game))))
+            assert self.outputs(fresh, other) == self.outputs(fresh, strategy) == want
 
 
 class TestDeepChain:
