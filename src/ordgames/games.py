@@ -30,16 +30,16 @@ output is reproducible byte for byte.
 
 Each game numbers its tree nodes once, in a node arena: id 0 is the virtual
 root, and per id it keeps the node's children as {label: child id} in sorted
-label order, its last label and its integer weight, and, from the first walk
-through the node on, its offers with their (label, subspace) and (label,
-subspace, compact) tuples.  Every walk moves through node ids, so none
-hashes a path of ``Ordinal`` labels to find a child, a weight or whether a
-node is maximal.  Histories of labels remain only where the output needs
-them, in the keys of ``Strategy.moves`` and of ``ExtractedCollections``, and
-share those tuples.  One rule decides a legal Player-I prescription,
-``_offer_child``, for the playout walk and for substrategy completion (one
-walk over the non-maximal product tree), and one a legal maximal history,
-``_leaf_id``, for the payoff table and single leaves.
+label order and its integer weight, and, from the first walk through the
+node on, its offers with their (label, subspace) and (label, subspace,
+compact) tuples.  Every walk moves through node ids, so none hashes a path
+of ``Ordinal`` labels to find a child, a weight or whether a node is
+maximal.  Histories of labels remain only where the output needs them, in
+the keys of ``Strategy.moves`` and of ``ExtractedCollections``, and share
+those tuples.  One lookup, ``_offer_at``, decides a legal Player-I
+prescription and finds its offer, for the playout walk, for substrategy
+completion (one walk over the non-maximal product tree) and for the walk of
+a maximal history, ``_leaf_moves``, behind the payoff table and single leaves.
 """
 
 from __future__ import annotations
@@ -208,9 +208,8 @@ class GameSpec(_Frozen):
 
     Built once: the node arena, which numbers the tree's nodes (0 is the
     virtual root) and holds per id ``_kids``, the node's ``{label: child id}``
-    in sorted label order (empty at a maximal node), and ``_labels``, its last
-    label; and for the szlenk payoff on integers, per id ``_int_weights``, the
-    node weight times Dw, the gains table's peaks times Dp (Dw and Dp the lcms
+    in sorted label order (empty at a maximal node); and for the szlenk payoff
+    on integers, per id ``_int_weights``, the node weight times Dw, the gains table's peaks times Dp (Dw and Dp the lcms
     of their denominators), and ``_bar``, the least sum that reaches
     epsilon * Dw * Dp.  Filled by the walks, for all of them: per node id its
     offers (``_offers``), and the szlenk memos of ``_scorer`` and of
@@ -218,8 +217,8 @@ class GameSpec(_Frozen):
     """
 
     _FIELDS = ("tree", "model", "weights", "payoff")
-    __slots__ = _FIELDS + ("_kids", "_labels", "_int_weights", "_int_peaks", "_bar",
-                           "_offer_table", "_steps", "_wins", "_witness")
+    __slots__ = _FIELDS + ("_kids", "_int_weights", "_int_peaks", "_bar", "_offer_table",
+                           "_steps", "_wins", "_witness")
 
     def __init__(
         self,
@@ -266,13 +265,12 @@ class GameSpec(_Frozen):
             paths.extend(path + (zeta,) for zeta in found)
         nodes = paths[1:]
         object.__setattr__(self, "_kids", tuple(kids))
-        object.__setattr__(self, "_labels", (None,) + tuple(path[-1] for path in nodes))
         object.__setattr__(self, "_int_weights", (0,) + tuple(scale(weights[p], dw) for p in nodes))
         object.__setattr__(self, "_int_peaks", int_peaks)
         object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
         for memo in ("_offer_table", "_steps", "_wins", "_witness"):
             object.__setattr__(self, memo, {})
-        if payoff != PAYOFF_SZLENK and any(_leaf_id(self, h) is None for h in payoff):
+        if payoff != PAYOFF_SZLENK and any(_leaf_moves(self, h) is None for h in payoff):
             raise ValueError("payoff table entry is not a maximal history")
 
     __repr__ = object.__repr__  # never a whole tree
@@ -337,7 +335,7 @@ def _offers(game: GameSpec, node: int) -> tuple:
     """The offers at node ``node``, by child id and then subspace zi, each
     ``(child id, zi, (label, zi), its moves (label, zi, ci) by ci)``, built
     on the first walk through the node; every walk's histories and keys share
-    these tuples.  A node's children have consecutive ids (``_offer``)."""
+    these tuples.  A node's children have consecutive ids (``_offer_at``)."""
     found = game._offer_table.get(node)
     if found is None:
         compacts = range(game.n_compacts)
@@ -350,7 +348,19 @@ def _offers(game: GameSpec, node: int) -> tuple:
     return found
 
 
-def _offer(game: GameSpec, node: int, child: int, zi: int) -> tuple:
+def _offer_at(game: GameSpec, node: int, move) -> Optional[tuple]:
+    """The entry of ``_offers`` that a Player-I prescription at node ``node``
+    picks, or None unless it is legal: a (label, subspace) pair whose label the
+    node's {label: child id} finds, by hash and equality as the tree's node set
+    would (an int equal to a label is not one), and an int subspace in range.
+    """
+    try:
+        zeta, zi = move
+        child = game._kids[node].get(zeta)
+    except (TypeError, ValueError):  # not a pair, or a label not hashable
+        return None
+    if child is None or not (_is_int(zi) and 0 <= zi < game.n_subspaces):
+        return None
     table = _offers(game, node)
     return table[(child - table[0][0]) * game.n_subspaces + zi]
 
@@ -392,34 +402,31 @@ def _scorer(game: GameSpec):
     return (0,) * len(game.model.functionals), step, ii_wins
 
 
-def _leaf_id(game: GameSpec, history: History) -> Optional[int]:
-    """The arena id of the maximal node ``history`` ends at, or None unless it
-    is a maximal history of legal moves: each a Player-I prescription legal as
-    ``_offer_child`` decides, with an int compact index in range."""
-    node = 0
+def _leaf_moves(game: GameSpec, history) -> Optional[List[tuple]]:
+    """The moves of ``history`` as (``_offers`` entry, ci) pairs, or None unless
+    it is a maximal history of legal moves: each a Player-I prescription legal
+    as ``_offer_at`` decides, with an int compact index in range."""
+    moves, node = [], 0
     try:
         for label, zi, ci in history:
-            node = _offer_child(game, node, (label, zi))
-            if node is None or not (_is_int(ci) and 0 <= ci < game.n_compacts):
+            offer = _offer_at(game, node, (label, zi))
+            if offer is None or not (_is_int(ci) and 0 <= ci < game.n_compacts):
                 return None
-    except (TypeError, ValueError):  # a move not a triple
+            moves.append((offer, ci))
+            node = offer[0]
+    except (TypeError, ValueError):  # not a sequence of moves, or a move not a triple
         return None
-    return None if game._kids[node] else node
+    return None if game._kids[node] else moves
 
 
 def eval_payoff(game: GameSpec, leaf: History) -> bool:
     """Does the terminal history belong to the payoff set?"""
-    try:
-        leaf = tuple(tuple(m) for m in leaf)
-    except TypeError:  # not a sequence of moves
-        leaf = None
-    if _leaf_id(game, leaf) is None:
+    moves = _leaf_moves(game, leaf)
+    if moves is None:
         raise ValueError("leaf is not a maximal history")
     state, step, ii_wins = _scorer(game)
-    node = 0
-    for label, zi, ci in leaf:
-        offer = _offer(game, node, game._kids[node][label], zi)
-        state, node = step(state, offer, ci), offer[0]
+    for offer, ci in moves:
+        state = step(state, offer, ci)
     return ii_wins(state)
 
 
@@ -497,22 +504,6 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     return winner, Strategy(winner, moves)
 
 
-def _offer_child(game: GameSpec, node: int, move) -> Optional[int]:
-    """The arena id a Player-I prescription at node ``node`` moves to, or None
-    unless it is legal: a (label, subspace) pair whose label the node's
-    {label: child id} finds, by hash and equality as the tree's node set
-    would (an int equal to a label is not one), and an int subspace in range.
-    """
-    try:
-        zeta, zi = move
-        child = game._kids[node].get(zeta)
-    except (TypeError, ValueError):  # not a pair, or a label not hashable
-        return None
-    if child is None or not (_is_int(zi) and 0 <= zi < game.n_subspaces):
-        return None
-    return child
-
-
 def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     """Walk every play consistent with ``strategy``, without recursion.
 
@@ -520,7 +511,7 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     ``step`` at each move, as ``_scorer`` gives.  Yields ``(leaf, state)`` at
     each maximal history, built of the game's move tuples (``_offers``), and
     ends with ``(None, state)`` at the first prescription that is missing or
-    illegal: for Player I as ``_offer_child`` decides, for Player II a reply
+    illegal: for Player I as ``_offer_at`` decides, for Player II a reply
     that is not an int index in range.
     """
     kids, n_compacts, moves = game._kids, game.n_compacts, strategy.moves
@@ -528,13 +519,10 @@ def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
     while stack:
         history, node, state = stack.pop()
         if strategy.player == "I":
-            move = moves.get(history)
-            child = _offer_child(game, node, move)
-            if child is None:
+            offer = _offer_at(game, node, moves.get(history))
+            if offer is None:
                 yield None, state
                 return
-            _, zi = move
-            offer = _offer(game, node, child, zi)
             branches = [(offer, ci) for ci in range(n_compacts)]
         else:
             branches = []
@@ -599,7 +587,7 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
     """Extend a Player-I substrategy to a total strategy, in one walk.
 
     The walk covers the non-maximal product tree on an explicit stack: it
-    keeps each prescription, which must be legal as ``_offer_child`` decides,
+    keeps each prescription, which must be legal as ``_offer_at`` decides,
     and elsewhere plays the least label with the fixed fallback subspace.  It
     carries whether a history lies on the substrategy's own play, where a
     prescription must exist; a key it never meets (off the tree, at a maximal
@@ -620,7 +608,7 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
         if history in sub.moves:
             met += 1
             move = sub.moves[history]
-            if _offer_child(game, node, move) is None:
+            if _offer_at(game, node, move) is None:
                 raise ValueError("substrategy prescribes an illegal move")
             move = total[history] = tuple(move)
         elif on_play:

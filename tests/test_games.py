@@ -294,7 +294,6 @@ class TestGameSpecValidation:
             for node in range(len(kids)):  # parents are numbered before their children
                 for label, child in kids[node].items():
                     paths[child] = paths[node] + (label,)
-                    assert game._labels[child] == label
             assert sorted(paths.values())[1:] == sorted(game.tree.nodes)
             assert game._int_weights[0] == 0
             for node, path in paths.items():
