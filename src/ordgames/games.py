@@ -263,9 +263,8 @@ class GameSpec(_Frozen):
             found = index.get(path, ())
             kids.append(dict(zip(found, range(len(paths), len(paths) + len(found)))))
             paths.extend(path + (zeta,) for zeta in found)
-        nodes = paths[1:]
         object.__setattr__(self, "_kids", tuple(kids))
-        object.__setattr__(self, "_int_weights", (0,) + tuple(scale(weights[p], dw) for p in nodes))
+        object.__setattr__(self, "_int_weights", (0,) + tuple(scale(weights[p], dw) for p in paths[1:]))
         object.__setattr__(self, "_int_peaks", int_peaks)
         object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
         for memo in ("_offer_table", "_steps", "_wins", "_witness"):
@@ -352,8 +351,7 @@ def _offer_at(game: GameSpec, node: int, move) -> Optional[tuple]:
     """The entry of ``_offers`` that a Player-I prescription at node ``node``
     picks, or None unless it is legal: a (label, subspace) pair whose label the
     node's {label: child id} finds, by hash and equality as the tree's node set
-    would (an int equal to a label is not one), and an int subspace in range.
-    """
+    would (an int equal to a label is not one), and an int subspace in range."""
     try:
         zeta, zi = move
         child = game._kids[node].get(zeta)
@@ -763,6 +761,19 @@ def history_from_text(text: str) -> History:
     return _history_reader(cache(Ordinal))(text)
 
 
+def _read_items(items: dict, entry: Callable[[str, object], tuple], what: str) -> dict:
+    """The dict of the (key, value) pairs ``entry`` reads from ``items``; two
+    texts that read as one key (``1`` and ``0+1``, say) are a ValueError."""
+    found = dict(entry(*item) for item in items.items())
+    if len(found) < len(items):  # the dict kept only the later text's value
+        texts: dict = {}
+        for text, value in items.items():
+            first = texts.setdefault(entry(text, value)[0], text)
+            if first != text:
+                raise ValueError(f"{what} {first!r} and {text!r} read as the same key")
+    return found
+
+
 def game_to_json(game: GameSpec) -> dict:
     model = game.model
     data = {
@@ -824,7 +835,7 @@ def game_from_json(data: Union[dict, str]) -> GameSpec:
     if not isinstance(data["weights"], dict):
         raise ValueError('"weights" must map node paths to rationals')
     label = cache(Ordinal)
-    weights = {tuple(map(label, key.split(","))): value for key, value in data["weights"].items()}
+    weights = _read_items(data["weights"], lambda k, v: (tuple(map(label, k.split(","))), v), '"weights" keys')
     payoff = data["payoff"]
     if payoff != PAYOFF_SZLENK:
         table = payoff.get("table") if isinstance(payoff, dict) else None
@@ -857,21 +868,21 @@ def strategy_from_json(data: Union[dict, str]) -> Strategy:
         raise ValueError('"moves" must be a JSON object')
     label = cache(Ordinal)
     read = _history_reader(label)
-    moves = {}
-    for key, value in items.items():
+
+    def entry(key: str, value) -> tuple:
         if player == "I":
             if not (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
                     and _is_int(value[1])):
                 raise ValueError(f"Player I's move must be [label, subspace index], not {value!r}")
-            moves[read(key)] = (label(value[0]), value[1])
-        else:
-            if not _is_int(value):
-                raise ValueError(f"Player II's move must be a compact index, not {value!r}")
-            parts = key.split("|")
-            if len(parts) != 2:
-                raise ValueError(f"{key!r} is not of the form history|label:subspace")
-            moves[(read(parts[0]), _read_move(parts[1], "label:subspace", label))] = value
-    return Strategy(player, moves)
+            return read(key), (label(value[0]), value[1])
+        if not _is_int(value):
+            raise ValueError(f"Player II's move must be a compact index, not {value!r}")
+        parts = key.split("|")
+        if len(parts) != 2:
+            raise ValueError(f"{key!r} is not of the form history|label:subspace")
+        return (read(parts[0]), _read_move(parts[1], "label:subspace", label)), value
+
+    return Strategy(player, _read_items(items, entry, '"moves" keys'))
 
 
 def collections_to_json(collections: ExtractedCollections) -> dict:

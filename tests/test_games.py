@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -389,10 +390,26 @@ class TestEvalPayoff:
                 eval_payoff(game, leaf)
 
     @pytest.mark.parametrize("payoff", [PAYOFF_SZLENK, frozenset({LEAF})], ids=["szlenk", "table"])
-    @pytest.mark.parametrize("leaf", [[5], None, 5, [LEAF[0], 5]], ids=["int-move", "none", "int", "int-tail"])
+    @pytest.mark.parametrize(
+        "leaf", [[5], None, 5, [LEAF[0], 5], "1:0:0", [(ONE, 0)]],
+        ids=["int-move", "none", "int", "int-tail", "string", "pair-move"],
+    )
     def test_leaf_of_non_sequences_rejected(self, payoff, leaf):
         with pytest.raises(ValueError, match="^leaf is not a maximal history$"):
             eval_payoff(single_node_game(payoff=payoff), leaf)
+
+    def test_leaf_forms_give_one_verdict(self):
+        # a leaf is read once, move by move, so lists and one-pass iterators
+        # of moves score as the tuple of tuples does, under both payoffs
+        rng = random.Random(6061)
+        seen = set()
+        while len(seen) < 4:
+            game = random_game(rng)
+            for leaf in maximal_histories(game)[:8]:
+                verdict = eval_payoff(game, leaf)
+                seen.add((game.payoff == PAYOFF_SZLENK, verdict))
+                for form in ([list(m) for m in leaf], (m for m in leaf), (iter(m) for m in leaf)):
+                    assert eval_payoff(game, form) is verdict
 
     def test_no_functionals_means_false(self):
         game = single_node_game(whole_space_model(functionals=()))
@@ -1046,6 +1063,47 @@ class TestJsonRoundTrip:
                 assert restore(game.model) == game.model
                 assert restore(game) == game
                 assert solve(restore(game)) == solve(game)
+
+
+class TestCollidingKeys:
+    """Two JSON key texts that read as one node path or one strategy key are
+    a ValueError naming both, in either order; a dict would keep the later."""
+
+    @staticmethod
+    def game(eps, max_n):
+        return build_szlenk_game(ONE, TruncationBudget(max_n=max_n), ModelSpace(**W_SZLENK, epsilon=eps))
+
+    @staticmethod
+    def rejected(reader, data, field, key, twin, first):
+        # ``key`` joins ``data[field]`` with ``twin``'s value, before or after it
+        items = data[field]
+        data[field] = {key: items[twin], **items} if first else {**items, key: items[twin]}
+        texts = (key, twin) if first else (twin, key)
+        with pytest.raises(ValueError, match=re.escape(f"{texts[0]!r} and {texts[1]!r}")):
+            reader(data)
+
+    @pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+    @pytest.mark.parametrize("key, twin", [("0+1", "1"), ("2,0+1", "2,1"), ("0+2,1", "2,1")])
+    def test_weight_keys(self, key, twin, first):
+        self.rejected(game_from_json, game_to_json(self.game("1/2", 2)), "weights", key, twin, first)
+
+    @pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+    @pytest.mark.parametrize("key, twin", [
+        ("|1:+0", "|1:0"), ("|1: 0", "|1:0"), ("|1:0_0", "|1:0"), ("|0+1:0", "|1:0"),
+        ("2:0:+0|1:1", "2:0:0|1:1"), ("0+2:0:0|1:1", "2:0:0|1:1"),
+    ])
+    def test_player_ii_move_keys(self, key, twin, first):
+        winner, strategy = solve(self.game("1/2", 2))
+        assert winner == "II"
+        self.rejected(strategy_from_json, strategy_to_json(strategy), "moves", key, twin, first)
+
+    @pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+    @pytest.mark.parametrize("key, twin", [("3:1:+0", "3:1:0"), ("0+3:1:0", "3:1:0"),
+                                           ("3:1:0;2:1: 0", "3:1:0;2:1:0")])
+    def test_player_i_move_keys(self, key, twin, first):
+        winner, strategy = solve(self.game("3/4", 3))
+        assert winner == "I"
+        self.rejected(strategy_from_json, strategy_to_json(strategy), "moves", key, twin, first)
 
 
 def _outcome(function, *args):
