@@ -209,11 +209,12 @@ class GameSpec(_Frozen):
     Built once: the node arena, which numbers the tree's nodes (0 is the
     virtual root) and holds per id ``_kids``, the node's ``{label: child id}``
     in sorted label order (empty at a maximal node); and for the szlenk payoff
-    on integers, per id ``_int_weights``, the node weight times Dw, the gains table's peaks times Dp (Dw and Dp the lcms
-    of their denominators), and ``_bar``, the least sum that reaches
-    epsilon * Dw * Dp.  Filled by the walks, for all of them: per node id its
-    offers (``_offers``), and the szlenk memos of ``_scorer`` and of
-    ``extract_collections``; not fields, so a pickle or copy starts empty.
+    on integers, per id ``_int_weights``, the node weight times Dw, the gains
+    table's peaks times Dp (Dw and Dp the lcms of their denominators), and
+    ``_bar``, the least sum that reaches epsilon * Dw * Dp.  Filled by the
+    walks, for all of them: per node id its offers (``_offers``), and the
+    szlenk memos of ``_scorer`` and of ``extract_collections``; not fields, so
+    a pickle or copy starts empty.
     """
 
     _FIELDS = ("tree", "model", "weights", "payoff")
@@ -764,13 +765,12 @@ def history_from_text(text: str) -> History:
 def _read_items(items: dict, entry: Callable[[str, object], tuple], what: str) -> dict:
     """The dict of the (key, value) pairs ``entry`` reads from ``items``; two
     texts that read as one key (``1`` and ``0+1``, say) are a ValueError."""
-    found = dict(entry(*item) for item in items.items())
+    found = dict(map(entry, items, items.values()))
     if len(found) < len(items):  # the dict kept only the later text's value
         texts: dict = {}
-        for text, value in items.items():
-            first = texts.setdefault(entry(text, value)[0], text)
-            if first != text:
-                raise ValueError(f"{what} {first!r} and {text!r} read as the same key")
+        for text, (key, _) in zip(items, map(entry, items, items.values())):
+            if texts.setdefault(key, text) != text:
+                raise ValueError(f"{what} {texts[key]!r} and {text!r} read as the same key")
     return found
 
 
