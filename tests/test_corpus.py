@@ -25,8 +25,8 @@ MANIFEST = CORPUS / "expected.json"
 
 def read_cases() -> list:
     """(name, argv) per case, in file order."""
-    lines = (CORPUS / "cases").read_text().splitlines()
-    return [(line.split()[0], line.split()[1:]) for line in lines if line and not line.startswith("#")]
+    cases = [line.split() for line in (CORPUS / "cases").read_text().splitlines()]
+    return [(case[0], case[1:]) for case in cases if case and not case[0].startswith("#")]
 
 
 def run_case(argv: list) -> tuple:
@@ -68,12 +68,17 @@ def outcomes(tmp_path_factory):
     return run_corpus(tmp_path_factory.mktemp("corpus"))
 
 
-def test_manifest_names_every_case():
+@pytest.fixture(scope="module")
+def manifest():
+    return json.loads(MANIFEST.read_text())
+
+
+def test_manifest_names_every_case(manifest):
     names = [name for name, _ in read_cases()]
     assert len(set(names)) == len(names)
-    assert sorted(names) == sorted(json.loads(MANIFEST.read_text()))
+    assert sorted(names) == sorted(manifest)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in read_cases()])
-def test_case_matches_manifest(outcomes, name):
-    assert outcomes[name] == json.loads(MANIFEST.read_text())[name]
+def test_case_matches_manifest(outcomes, manifest, name):
+    assert outcomes[name] == manifest[name]
