@@ -82,3 +82,18 @@ def test_manifest_names_every_case(manifest):
 @pytest.mark.parametrize("name", [name for name, _ in read_cases()])
 def test_case_matches_manifest(outcomes, manifest, name):
     assert outcomes[name] == manifest[name]
+
+
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in read_cases()])
+def test_case_keeps_cli_contract(manifest, name):
+    # exit 0 with a silent stderr, or exit 1 with no output and one error line
+    entry = manifest[name]
+    if entry["exit"] == 0:
+        assert entry["stderr"] == ""
+    else:
+        assert entry["exit"] == 1 and entry["stdout_sha256"] == EMPTY_SHA256
+        error = entry["stderr"]
+        assert error.startswith("error: ") and error.endswith("\n") and error.count("\n") == 1
