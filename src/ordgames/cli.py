@@ -35,102 +35,70 @@ def _budget(args):
     return TruncationBudget(max_n=args.max_n, max_depth=args.max_depth)
 
 
-def _add_budget_flags(parser) -> None:
-    parser.add_argument("--max-n", type=int, default=4, help="breadth cap at infinite branching")
-    parser.add_argument("--max-depth", type=int, default=512, help="safety cap on path length")
-    parser.add_argument(
-        "--budget", default=None, help='JSON {"max_n": N, "max_depth": D}, overrides the flags'
-    )
+# Per group, its help text and per verb the verb's arguments in order, each a
+# name or a (name, add_argument keywords) pair.  A process expands only the
+# verbs of the group it runs, for a short start-up, and finds the group's
+# _run_<group> by name when it runs it, so that a test can patch a runner.
+_BUDGET = (
+    ("--max-n", {"type": int, "default": 4, "help": "breadth cap at infinite branching"}),
+    ("--max-depth", {"type": int, "default": 512, "help": "safety cap on path length"}),
+    ("--budget", {"help": 'JSON {"max_n": N, "max_depth": D}, overrides the flags'}),
+)
+_KIND = (("kind", {"choices": ("T", "Gamma")}), "xi")
+_TREE_FILE = (("file", {"help": "tree JSON file, or - for stdin"}),)
+
+_GROUPS = {
+    "ord": ("ordinal arithmetic in Cantor normal form", {
+        "add": ("a", "b"),
+        "cmp": ("a", "b"),
+        "mul": ("a", ("n", {"type": int})),
+        "pow": ("a",),
+        "quotrem": ("a", "g", ("--above", {
+            "action": "store_true", "help": "remainder in (0, w^g] instead of [0, w^g)"})),
+    }),
+    "tree": ("finite B-tree queries", {
+        "validate": _TREE_FILE, "order": _TREE_FILE, "derive": _TREE_FILE,
+        "rank": ("file", ("path", {"help": "comma-separated CNF labels"})),
+    }),
+    "family": ("the T and Gamma tree families", {
+        "member": _KIND + ("path",),
+        "maximal": _KIND + ("path",),
+        "weight": _KIND + ("path",),
+        "rank": _KIND + ("path",),
+        "children": _KIND + (("path", {
+            "nargs": "?", "default": "", "help": "empty for the virtual root"}),) + _BUDGET,
+        "branches": _KIND + _BUDGET + (
+            ("--sum", {"action": "store_true", "help": "append the branch weight sum column"}),
+            ("--limit", {"type": int, "help": "stop after this many branches"})),
+        "truncate": _KIND + _BUDGET,
+        "embed": ("xi", "gamma", "path"),
+    }),
+    "cb": ("Cantor-Bendixson derivatives of [1, a]",
+           {"step": ("a",), "stage": ("a", "g"), "index": ("a",)}),
+    "bound": ("index arithmetic bounds", {"dz": ("sz",)}),
+    "game": ("games on finite B-trees", {
+        "solve": (("file", {"help": "game JSON file, or - for stdin"}),),
+        "verify": ("file", ("strategy", {"help": "solver output JSON file"})),
+        "extract": ("file", "strategy"),
+        "build": ("xi", ("model", {"help": "model JSON file, or - for stdin"})) + _BUDGET,
+    }),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(group=None) -> argparse.ArgumentParser:
+    """Every group, with the verbs of ``group`` alone (of all groups if None)."""
     parser = argparse.ArgumentParser(prog="ordgames", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
-
-    ord_cmd = top.add_parser("ord", help="ordinal arithmetic in Cantor normal form")
-    ord_sub = ord_cmd.add_subparsers(dest="verb", required=True)
-    p = ord_sub.add_parser("add")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = ord_sub.add_parser("cmp")
-    p.add_argument("a")
-    p.add_argument("b")
-    p = ord_sub.add_parser("mul")
-    p.add_argument("a")
-    p.add_argument("n", type=int)
-    p = ord_sub.add_parser("pow")
-    p.add_argument("a")
-    p = ord_sub.add_parser("quotrem")
-    p.add_argument("a")
-    p.add_argument("g")
-    p.add_argument("--above", action="store_true", help="remainder in (0, w^g] instead of [0, w^g)")
-
-    tree_cmd = top.add_parser("tree", help="finite B-tree queries")
-    tree_sub = tree_cmd.add_subparsers(dest="verb", required=True)
-    for verb in ("validate", "order", "derive"):
-        p = tree_sub.add_parser(verb)
-        p.add_argument("file", help="tree JSON file, or - for stdin")
-    p = tree_sub.add_parser("rank")
-    p.add_argument("file")
-    p.add_argument("path", help="comma-separated CNF labels")
-
-    fam_cmd = top.add_parser("family", help="the T and Gamma tree families")
-    fam_sub = fam_cmd.add_subparsers(dest="verb", required=True)
-    for verb in ("member", "maximal", "weight", "rank"):
-        p = fam_sub.add_parser(verb)
-        p.add_argument("kind", choices=["T", "Gamma"])
-        p.add_argument("xi")
-        p.add_argument("path")
-    p = fam_sub.add_parser("children")
-    p.add_argument("kind", choices=["T", "Gamma"])
-    p.add_argument("xi")
-    p.add_argument("path", nargs="?", default="", help="empty for the virtual root")
-    _add_budget_flags(p)
-    p = fam_sub.add_parser("branches")
-    p.add_argument("kind", choices=["T", "Gamma"])
-    p.add_argument("xi")
-    _add_budget_flags(p)
-    p.add_argument("--sum", action="store_true", help="append the branch weight sum column")
-    p.add_argument("--limit", type=int, default=None, help="stop after this many branches")
-    p = fam_sub.add_parser("truncate")
-    p.add_argument("kind", choices=["T", "Gamma"])
-    p.add_argument("xi")
-    _add_budget_flags(p)
-    p = fam_sub.add_parser("embed")
-    p.add_argument("xi")
-    p.add_argument("gamma")
-    p.add_argument("path")
-
-    cb_cmd = top.add_parser("cb", help="Cantor-Bendixson derivatives of [1, a]")
-    cb_sub = cb_cmd.add_subparsers(dest="verb", required=True)
-    p = cb_sub.add_parser("step")
-    p.add_argument("a")
-    p = cb_sub.add_parser("stage")
-    p.add_argument("a")
-    p.add_argument("g")
-    p = cb_sub.add_parser("index")
-    p.add_argument("a")
-
-    bound_cmd = top.add_parser("bound", help="index arithmetic bounds")
-    bound_sub = bound_cmd.add_subparsers(dest="verb", required=True)
-    p = bound_sub.add_parser("dz")
-    p.add_argument("sz")
-
-    game_cmd = top.add_parser("game", help="games on finite B-trees")
-    game_sub = game_cmd.add_subparsers(dest="verb", required=True)
-    p = game_sub.add_parser("solve")
-    p.add_argument("file", help="game JSON file, or - for stdin")
-    p = game_sub.add_parser("verify")
-    p.add_argument("file")
-    p.add_argument("strategy", help="solver output JSON file")
-    p = game_sub.add_parser("extract")
-    p.add_argument("file")
-    p.add_argument("strategy")
-    p = game_sub.add_parser("build")
-    p.add_argument("xi")
-    p.add_argument("model", help="model JSON file, or - for stdin")
-    _add_budget_flags(p)
-
+    for name, (help_text, verbs) in _GROUPS.items():
+        group_parser = top.add_parser(name, help=help_text)
+        if group not in (None, name):
+            continue
+        verb_parsers = group_parser.add_subparsers(dest="verb", required=True)
+        for verb, arguments in verbs.items():
+            verb_parser = verb_parsers.add_parser(verb)
+            for argument in arguments:
+                flag, keywords = (argument, {}) if isinstance(argument, str) else argument
+                verb_parser.add_argument(flag, **keywords)
     return parser
 
 
@@ -210,6 +178,11 @@ def _run_cb(args) -> None:
         print(cb_index(Ordinal(args.a)))
 
 
+def _run_bound(args) -> None:
+    from .derivation import dz_bound
+    print(dz_bound(Ordinal(args.sz)))
+
+
 def _run_game(args) -> None:
     from . import games
     if args.verb == "build":
@@ -235,22 +208,12 @@ def _run_game(args) -> None:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a group-named first word is always that group to argparse; any other
+    # first word ("-h", "--", a typo) gets the full parser's answer
+    args = _build_parser(argv[0] if argv and argv[0] in _GROUPS else None).parse_args(argv)
     try:
-        if args.group == "ord":
-            _run_ord(args)
-        elif args.group == "tree":
-            _run_tree(args)
-        elif args.group == "family":
-            _run_family(args)
-        elif args.group == "cb":
-            _run_cb(args)
-        elif args.group == "bound":
-            from .derivation import dz_bound
-            print(dz_bound(Ordinal(args.sz)))
-        else:
-            _run_game(args)
+        globals()[f"_run_{args.group}"](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

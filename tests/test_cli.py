@@ -504,6 +504,71 @@ class TestFuzz:
             assert sum(": error: " in line for line in lines) == 1, (argv, err)
 
 
+# one valid argv per verb, by group; the parser is all that reads them here
+VALID_ARGS = {
+    "ord": {"add": ["w", "1"], "cmp": ["w", "1"], "mul": ["w", "2"], "pow": ["w"], "quotrem": ["w^2", "1", "--above"]},
+    "tree": {"validate": ["t.json"], "order": ["t.json"], "derive": ["-"], "rank": ["t.json", "1"]},
+    "family": {
+        "member": ["T", "3", "3"], "maximal": ["Gamma", "w", "2"], "weight": ["Gamma", "1", "1"],
+        "rank": ["T", "3", "3,2"], "children": ["T", "3", "--max-n", "2"],
+        "branches": ["Gamma", "2", "--sum", "--limit", "3", "--budget", '{"max_n": 2}'],
+        "truncate": ["T", "3", "--max-depth", "9"], "embed": ["2", "3", "2,1"],
+    },
+    "cb": {"step": ["w"], "stage": ["w", "1"], "index": ["w"]},
+    "bound": {"dz": ["w"]},
+    "game": {"solve": ["g.json"], "verify": ["g.json", "s.json"], "extract": ["g.json", "s.json"], "build": ["1", "m.json"]},
+}
+
+
+def parser_argvs():
+    argvs = [["-h"], ["--"], ["nope"], ["nope", "add"], [], ["--", "ord", "add", "w", "1"]]
+    for group, verbs in VALID_ARGS.items():
+        argvs += [[group, "-h"], [group], [group, "nope"]]
+        for verb, args in verbs.items():
+            argvs += [[group, verb, "-h"], [group, verb], [group, verb, *args, "--nope"], [group, verb, *args]]
+    return argvs
+
+
+def parsed(call, argv):
+    """(``call(argv)`` or its exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestOneGroupParser:
+    """``run`` expands only the verbs of the group its first word names, and
+    must answer every argv as the parser of all groups does."""
+
+    def test_argvs_name_every_verb(self):
+        assert {group: list(verbs) for group, (_, verbs) in cli._GROUPS.items()} == {
+            group: list(verbs) for group, verbs in VALID_ARGS.items()
+        }
+
+    @pytest.mark.parametrize("argv", parser_argvs(), ids=" ".join)
+    def test_same_answer_as_full_parser(self, monkeypatch, argv):
+        namespaces = []
+        for group in cli._GROUPS:
+            monkeypatch.setattr(cli, f"_run_{group}", namespaces.append)
+        result, out, err = parsed(cli.run, argv)
+        one_group = (namespaces[0] if namespaces else result, out, err)
+        assert one_group == parsed(cli._build_parser(None).parse_args, argv)
+
+    def test_game_verb_expands_game_group_only(self, monkeypatch, capsys):
+        build, groups = cli._build_parser, []
+        monkeypatch.setattr(cli, "_build_parser", lambda group: groups.append(group) or build(group))
+        monkeypatch.setattr(cli, "_run_game", lambda args: None)
+        assert cli.run(["game", "solve", "g.json"]) == 0
+        assert groups == ["game"]
+        with pytest.raises(SystemExit):  # the ord group has no verbs there
+            build("game").parse_args(["ord", "add", "w", "1"])
+        assert "unrecognized arguments: add w 1" in capsys.readouterr().err
+
+
 # A value put in place of one in a pipeline document: JSON numbers that
 # Python reads as non-finite floats (BIG is written as 1e400), other types,
 # bad CNF and a zero denominator; DROP deletes the key or element instead
