@@ -143,7 +143,7 @@ class FiniteBTree(_Frozen):
     def is_max(self, path: NodePath) -> bool:
         path = tuple(path)
         if path not in self._nodes:
-            raise ValueError(f"{path_to_text(path)} is not a member")
+            raise ValueError(f"{path_to_text(path) or 'the empty path'} is not a member")
         return not self._child_index().get(path)
 
     def max_nodes(self) -> FrozenSet[NodePath]:
@@ -171,7 +171,7 @@ class FiniteBTree(_Frozen):
         path = tuple(path)
         ranks = self._rank_index()
         if path not in ranks:
-            raise ValueError(f"{path_to_text(path)} is not a member")
+            raise ValueError(f"{path_to_text(path) or 'the empty path'} is not a member")
         return ranks[path]
 
     def order(self) -> int:

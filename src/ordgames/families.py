@@ -130,7 +130,8 @@ class _Family:
     def _states(self, path: NodePath) -> list:
         states = self._read(path)
         if not states:
-            raise ValueError(f"{path_to_text(tuple(path))} is not a member of {self!r}")
+            text = path_to_text(tuple(path)) or "the empty path"
+            raise ValueError(f"{text} is not a member of {self!r}")
         return states
 
     def member(self, path: NodePath) -> bool:

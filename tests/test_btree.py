@@ -42,6 +42,12 @@ class TestMaxNodes:
         assert tree.max_nodes() == {t for t in tree.nodes if tree.rank(t) == 0}
 
 
+    @pytest.mark.parametrize("path", ["", "2,2"])
+    def test_is_max_names_the_missing_path(self, path):
+        with pytest.raises(ValueError, match=f"^{path or 'the empty path'} is not a member$"):
+            chain(3).is_max(P(path))
+
+
 class TestDerive:
     def test_examples(self):
         assert chain(3).derive() == FiniteBTree([P("3"), P("3,2")])

@@ -110,6 +110,13 @@ class TestTree:
         assert code == 0
         assert json.loads(out) == {"nodes": [["3"], ["3", "2"]]}
 
+    @pytest.mark.parametrize("path", ["", "2,2"])
+    def test_rank_names_the_missing_path(self, capsys, tmp_path, path):
+        tree_file = tmp_path / "tree.json"
+        tree_file.write_text(json.dumps({"nodes": [["3"], ["3", "2"]]}))
+        name = path or "the empty path"
+        assert run_cli(capsys, "tree", "rank", str(tree_file), path) == (1, "", f"error: {name} is not a member\n")
+
     def test_invalid_tree(self, capsys, tmp_path):
         tree_file = tmp_path / "bad.json"
         tree_file.write_text(json.dumps({"nodes": [["3", "2"]]}))
@@ -167,6 +174,16 @@ class TestFamily:
         assert run_cli(capsys, "family", "weight", "Gamma", "1", "3,2")[1] == "1/3\n"
         assert run_cli(capsys, "family", "rank", "Gamma", "2", "w+2,w+1")[1] == "w\n"
         assert run_cli(capsys, "family", "weight", "T", "3", "3,2")[0] == 1
+
+    @pytest.mark.parametrize(
+        "verb, kind, xi, family",
+        [("maximal", "T", "3", "TFamily(3)"), ("rank", "Gamma", "2", "GammaFamily(2)"),
+         ("weight", "Gamma", "2", "GammaFamily(2)"), ("rank", "T", "0", "TFamily(0)")],
+    )
+    @pytest.mark.parametrize("path", ["", "2,2"])
+    def test_point_query_names_the_missing_path(self, capsys, verb, kind, xi, family, path):
+        error = f"error: {path or 'the empty path'} is not a member of {family}\n"
+        assert run_cli(capsys, "family", verb, kind, xi, path) == (1, "", error)
 
     def test_truncate(self, capsys):
         code, out, _ = run_cli(capsys, "family", "truncate", "T", "3", "--max-n", "1")
