@@ -89,16 +89,16 @@ def _build_parser(group=None) -> argparse.ArgumentParser:
     """Every group, with the verbs of ``group`` alone (of all groups if None)."""
     parser = argparse.ArgumentParser(prog="ordgames", description=__doc__)
     top = parser.add_subparsers(dest="group", required=True)
-    for name, (help_text, verbs) in _GROUPS.items():
-        group_parser = top.add_parser(name, help=help_text)
-        if group not in (None, name):
+    for group_name, (help_text, verbs) in _GROUPS.items():
+        group_parser = top.add_parser(group_name, help=help_text)
+        if group not in (None, group_name):
             continue
         verb_parsers = group_parser.add_subparsers(dest="verb", required=True)
         for verb, arguments in verbs.items():
             verb_parser = verb_parsers.add_parser(verb)
             for argument in arguments:
-                flag, keywords = (argument, {}) if isinstance(argument, str) else argument
-                verb_parser.add_argument(flag, **keywords)
+                name, keywords = (argument, {}) if isinstance(argument, str) else argument
+                verb_parser.add_argument(name, **keywords)
     return parser
 
 
