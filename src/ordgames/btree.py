@@ -42,6 +42,14 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
+def _field(data: dict, key: str, what: str):
+    """``data[key]``; a ValueError naming the document and the key if it is missing."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f'{what} has no "{key}" key') from None
+
+
 def _frac_text(x) -> str:
     """A Fraction as exact text, p/q: the form every layer prints rationals in."""
     return f"{x.numerator}/{x.denominator}"
@@ -195,7 +203,7 @@ class FiniteBTree(_Frozen):
 
     @classmethod
     def from_json(cls, data: Union[dict, str]) -> "FiniteBTree":
-        nodes = _json_object(data, "tree")["nodes"]
+        nodes = _field(_json_object(data, "tree"), "nodes", "tree")
         if not isinstance(nodes, list) or not all(
             isinstance(t, list) and all(type(label) in (str, int) for label in t) for t in nodes
         ):

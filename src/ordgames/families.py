@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .btree import FiniteBTree, NodePath, _Frozen, _json_object, path_to_text
+from .btree import FiniteBTree, NodePath, _field, _Frozen, _json_object, path_to_text
 from .ordinal import ONE, ZERO, Ordinal, OrdinalError, _from_cnf, omega_pow, quot_rem_omega_pow, subtract_left
 
 __all__ = [
@@ -392,7 +392,7 @@ def make_family(kind: str, xi: Ordinal) -> _Family:
 def family_from_json(data: Union[dict, str]) -> _Family:
     """Build a family from the descriptor {"kind": "T"|"Gamma", "xi": "<CNF>"}."""
     data = _json_object(data, "family")
-    return make_family(data["kind"], Ordinal(data["xi"]))
+    return make_family(_field(data, "kind", "family"), Ordinal(_field(data, "xi", "family")))
 
 
 def family_to_json(family: _Family) -> dict:
@@ -402,7 +402,7 @@ def family_to_json(family: _Family) -> dict:
 def budget_from_json(data: Union[dict, str]) -> TruncationBudget:
     """Build a budget from {"max_n": N, "max_depth": D} (max_depth optional)."""
     data = _json_object(data, "budget")
-    max_n, max_depth = data["max_n"], data.get("max_depth", _MAX_DEPTH)
+    max_n, max_depth = _field(data, "max_n", "budget"), data.get("max_depth", _MAX_DEPTH)
     if type(max_n) is not int or type(max_depth) is not int:
         raise ValueError("budget max_n and max_depth must be integers")
     return TruncationBudget(max_n=max_n, max_depth=max_depth)

@@ -53,7 +53,7 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 )
 
-from .btree import FiniteBTree, NodePath, _Frozen, _frac_text, _json_object, path_to_text
+from .btree import FiniteBTree, NodePath, _field, _Frozen, _frac_text, _json_object, path_to_text
 from .ordinal import Ordinal, _is_int
 
 if TYPE_CHECKING:
@@ -816,27 +816,28 @@ def model_from_json(data: dict) -> ModelSpace:
         ("compacts", 3, "a list of point lists"),
         ("functionals", 2, "a list of vectors"),
     ):
-        if not _nested_lists(data[key], depth):
+        if not _nested_lists(_field(data, key, "model"), depth):
             raise ValueError(f'"{key}" must be {shape}')
     return ModelSpace(
-        dim=data["dim"],
+        dim=_field(data, "dim", "model"),
         subspaces=data["subspaces"],
         compacts=data["compacts"],
         functionals=data["functionals"],
-        epsilon=data["epsilon"],
+        epsilon=_field(data, "epsilon", "model"),
         norm=data.get("norm", "max"),
     )
 
 
 def game_from_json(data: Union[dict, str]) -> GameSpec:
     data = _json_object(data, "game")
-    model = model_from_json(data["model"])
-    tree = FiniteBTree.from_json(data["tree"])
-    if not isinstance(data["weights"], dict):
+    model = model_from_json(_field(data, "model", "game"))
+    tree = FiniteBTree.from_json(_field(data, "tree", "game"))
+    weights = _field(data, "weights", "game")
+    if not isinstance(weights, dict):
         raise ValueError('"weights" must map node paths to rationals')
     label = cache(Ordinal)
-    weights = _read_items(data["weights"], lambda k, v: (tuple(map(label, k.split(","))), v), '"weights" keys')
-    payoff = data["payoff"]
+    weights = _read_items(weights, lambda k, v: (tuple(map(label, k.split(","))), v), '"weights" keys')
+    payoff = _field(data, "payoff", "game")
     if payoff != PAYOFF_SZLENK:
         table = payoff.get("table") if isinstance(payoff, dict) else None
         if not isinstance(table, list) or not all(isinstance(h, str) for h in table):
@@ -861,7 +862,7 @@ def strategy_to_json(strategy: Strategy) -> dict:
 
 def strategy_from_json(data: Union[dict, str]) -> Strategy:
     data = _json_object(data, "strategy")
-    player, items = data["player"], data["moves"]
+    player, items = _field(data, "player", "strategy"), _field(data, "moves", "strategy")
     if player not in ("I", "II"):
         raise ValueError(f'"player" must be "I" or "II", not {player!r}')
     if not isinstance(items, dict):

@@ -473,6 +473,45 @@ class TestGame:
         assert json.loads(out)["weights"] == {"1": "1/1"}
 
 
+class TestMissingKeys:
+    """A document without a key its reader needs is a domain error naming
+    the document and the key, never the bare KeyError text."""
+
+    GAME = {"model": W_SZLENK_MODEL, "tree": {"nodes": [["1"]]}, "weights": {"1": "1"}, "payoff": "szlenk"}
+
+    @pytest.mark.parametrize("argv, documents, message", [
+        (["game", "verify", "game.json", "doc.json"], {"doc.json": W_SZLENK_MODEL}, 'strategy has no "player" key'),
+        (["game", "verify", "game.json", "doc.json"], {"doc.json": {"player": "I"}}, 'strategy has no "moves" key'),
+        (["game", "build", "1", "doc.json"], {"doc.json": {"nodes": [["1"]]}}, 'model has no "subspaces" key'),
+        (["game", "build", "1", "doc.json"], {"doc.json": {k: v for k, v in W_SZLENK_MODEL.items() if k != "dim"}},
+         'model has no "dim" key'),
+        (["game", "build", "1", "doc.json"],
+         {"doc.json": {k: v for k, v in W_SZLENK_MODEL.items() if k != "epsilon"}}, 'model has no "epsilon" key'),
+        (["game", "solve", "doc.json"], {"doc.json": W_SZLENK_MODEL}, 'game has no "model" key'),
+        (["game", "solve", "doc.json"], {"doc.json": {k: v for k, v in GAME.items() if k != "payoff"}},
+         'game has no "payoff" key'),
+        (["game", "solve", "doc.json"], {"doc.json": {**GAME, "tree": {}}}, 'tree has no "nodes" key'),
+        (["tree", "order", "doc.json"], {"doc.json": W_SZLENK_MODEL}, 'tree has no "nodes" key'),
+        (["family", "truncate", "T", "1", "--budget", '{"max_depth": 3}'], {}, 'budget has no "max_n" key'),
+    ])
+    def test_reader_names_missing_key(self, capsys, tmp_path, monkeypatch, argv, documents, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "game.json").write_text(json.dumps(self.GAME))
+        for name, document in documents.items():
+            (tmp_path / name).write_text(json.dumps(document))
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("document, message", [
+        ({"xi": "2"}, 'family has no "kind" key'), ({"kind": "T"}, 'family has no "xi" key'),
+    ])
+    def test_family_reader_names_missing_key(self, document, message):
+        # no verb reads a family document, so the library call stands in
+        from ordgames.families import family_from_json
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            family_from_json(document)
+
+
 # CNF-like argument text: random strings over the CNF alphabet, and
 # near-CNF strings with random exponents, coefficients and tails
 CNF_TEXT = st.one_of(
