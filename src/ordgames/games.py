@@ -16,17 +16,17 @@ peak value over that set and least maximizer, from one pass over each
 compact's points that works out each point's norm, subspaces and values
 once, in integers: the points, the functionals and the subspace rows are
 scaled by the lcms of their denominators, and only each peak becomes a
-rational again.  One scorer carries a szlenk play's partial sums
-s_f = sum_i w_i * peak_f(z_i, c_i) move by move, as exact integers over one
-common denominator per game, for the solver, the playout walk behind
-verification and extraction, and single leaves; its memos live in the game,
-so over all calls on one game each distinct step and each leaf's verdict is
-computed once.  The sums and the tree node decide the rest of the game, so
-the solver runs backward induction on an explicit stack over (node, partial
-sums) positions (over whole histories under a table payoff), memoized, and
-then writes the history-keyed strategy out by walking the plays it reaches.
-Tie-breaks are deterministic (lexicographically least move), so solver
-output is reproducible byte for byte.
+rational again.  A szlenk play's state is its partial sums
+s_f = sum_i w_i * peak_f(z_i, c_i), exact integers over one common
+denominator per game (the history under a table payoff).  The scorer numbers
+each distinct state once per game, judges it then, and keys each transition
+by one int, so the solver, the playout walk behind verification and
+extraction, and single leaves read a move's next state with one lookup and
+compute it once over all calls on the game.  The state and the tree node
+decide the rest of the game, so the solver runs backward induction on an
+explicit stack over (node, state id) positions, memoized, then writes the
+history-keyed strategy out by walking the plays it reaches.  Tie-breaks are
+deterministic (lexicographically least move): output is byte-reproducible.
 
 Each game numbers its tree nodes once, in a node arena: id 0 is the virtual
 root, and per id it keeps the node's children as {label: child id} in sorted
@@ -212,14 +212,15 @@ class GameSpec(_Frozen):
     on integers, per id ``_int_weights``, the node weight times Dw, the gains
     table's peaks times Dp (Dw and Dp the lcms of their denominators), and
     ``_bar``, the least sum that reaches epsilon * Dw * Dp.  Filled by the
-    walks, for all of them: per node id its offers (``_offers``), and the
-    szlenk memos of ``_scorer`` and of ``extract_collections``; not fields, so
-    a pickle or copy starts empty.
+    walks, for all of them: per node id its offers (``_offers``); the state
+    memos of ``_scorer`` (``_states`` by id, ``_ids`` by state, ``_wins``,
+    ``_steps``) and ``extract_collections``' ``_witness`` by id.  Not fields,
+    so a pickle or copy starts empty.
     """
 
     _FIELDS = ("tree", "model", "weights", "payoff")
     __slots__ = _FIELDS + ("_kids", "_int_weights", "_int_peaks", "_bar", "_offer_table",
-                           "_steps", "_wins", "_witness")
+                           "_states", "_ids", "_steps", "_wins", "_witness")
 
     def __init__(
         self,
@@ -268,8 +269,8 @@ class GameSpec(_Frozen):
         object.__setattr__(self, "_int_weights", (0,) + tuple(scale(weights[p], dw) for p in paths[1:]))
         object.__setattr__(self, "_int_peaks", int_peaks)
         object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
-        for memo in ("_offer_table", "_steps", "_wins", "_witness"):
-            object.__setattr__(self, memo, {})
+        for memo in ("_offer_table", "_ids", "_steps", "_witness", "_states", "_wins"):
+            object.__setattr__(self, memo, [] if memo in ("_states", "_wins") else {})
         if payoff != PAYOFF_SZLENK and any(_leaf_moves(self, h) is None for h in payoff):
             raise ValueError("payoff table entry is not a maximal history")
 
@@ -333,16 +334,18 @@ class ExtractedCollections(NamedTuple):
 
 def _offers(game: GameSpec, node: int) -> tuple:
     """The offers at node ``node``, by child id and then subspace zi, each
-    ``(child id, zi, (label, zi), its moves (label, zi, ci) by ci)``, built
-    on the first walk through the node; every walk's histories and keys share
-    these tuples.  A node's children have consecutive ids (``_offer_at``)."""
+    ``(child id, zi, (label, zi), its moves (label, zi, ci) by ci, (child id
+    * n_subspaces + zi) * n_compacts)``, the last its move base (``_scorer``),
+    built on the first walk through the node; every walk's histories and keys
+    share these tuples.  A node's children have consecutive ids (``_offer_at``)."""
     found = game._offer_table.get(node)
     if found is None:
-        compacts = range(game.n_compacts)
+        n_subspaces, n_compacts = game.n_subspaces, game.n_compacts
         found = game._offer_table[node] = tuple(
-            (child, zi, offer, tuple([(*offer, ci) for ci in compacts]))
+            (child, zi, offer, tuple([(*offer, ci) for ci in range(n_compacts)]),
+             (child * n_subspaces + zi) * n_compacts)
             for zeta, child in game._kids[node].items()
-            for zi in range(game.n_subspaces)
+            for zi in range(n_subspaces)
             for offer in [(zeta, zi)]
         )
     return found
@@ -365,40 +368,42 @@ def _offer_at(game: GameSpec, node: int, move) -> Optional[tuple]:
 
 
 def _scorer(game: GameSpec):
-    """(root state, step, ii_wins): the payoff of a play, scored move by move.
+    """(root id, step, span): the payoff of a play, scored move by move.
 
-    ``step(state, offer, ci)`` is the state after the move of ``offer``, an
-    entry of ``_offers``, with compact ci; ``ii_wins`` judges a maximal
-    history's state.  Under a table payoff the state is the history; under
-    the szlenk payoff, the partial sums times Dw * Dp, or None once a reply's
-    selection set is empty.  Each factor peaks on its own for a fixed x*, as
-    the weights are nonnegative.  The szlenk ``step`` is memoized on
-    ``(sums, child, zi, ci)`` and ``ii_wins`` on the sums, in the game's
-    dicts: the solver, the verifier, the extractor and ``eval_payoff`` each
-    find there every step and verdict an earlier call on the game computed.
-    """
-    if game.payoff != PAYOFF_SZLENK:
-        return (), lambda h, offer, ci: h + (offer[3][ci],), game.payoff.__contains__
+    A state is the partial sums times Dw * Dp under the szlenk payoff (None
+    once a reply's selection set is empty; each factor peaks on its own for a
+    fixed x*, as the weights are nonnegative), the history under a table
+    payoff.  Each distinct state gets one id in the game's ``_states`` and
+    ``_ids``, and ``_wins[id]``, judged then, says if II wins a play ending
+    there.  ``_steps`` maps the int ``id * span + base + ci`` (``base`` the
+    offer's move base, ``_offers``) to the id after compact ci; ``step(id,
+    offer, ci)`` numbers that id and stores the transition, and the walks
+    call it only when ``_steps`` misses.  The memos are the game's, so each
+    call on the game finds every step an earlier one took."""
+    states, ids, wins, szlenk = game._states, game._ids, game._wins, game.payoff == PAYOFF_SZLENK
+    steps, span = game._steps, len(game._kids) * game.n_subspaces * game.n_compacts
     weights, peaks, bar = game._int_weights, game._int_peaks, game._bar
-    steps, wins = game._steps, game._wins
 
-    def step(sums, offer, ci):
-        child, zi, _, _ = offer
-        key = (sums, child, zi, ci)
-        after = steps.get(key, key)  # the key itself stands for a miss
-        if after is key:
-            gains, w = peaks[zi][ci], weights[child]
-            dead = sums is None or gains is None
-            after = steps[key] = None if dead else tuple([s + w * p for s, p in zip(sums, gains)])
+    def number(state) -> int:
+        found = ids.get(state)
+        if found is None:
+            found = ids[state] = len(states)
+            states.append(state)
+            # no functionals leave the sums () and a win out of reach
+            wins.append(bool(state) and max(state) >= bar if szlenk else state in game.payoff)
+        return found
+
+    def step(i, offer, ci):
+        state = states[i]
+        if not szlenk:
+            state += (offer[3][ci],)
+        elif state is not None:
+            gains, w = peaks[offer[1]][ci], weights[offer[0]]
+            state = None if gains is None else tuple([s + w * p for s, p in zip(state, gains)])
+        after = steps[i * span + offer[4] + ci] = number(state)
         return after
 
-    def ii_wins(sums) -> bool:
-        won = wins.get(sums)
-        if won is None:
-            won = wins[sums] = sums is not None and any(s >= bar for s in sums)
-        return won
-
-    return (0,) * len(game.model.functionals), step, ii_wins
+    return number((0,) * len(game.model.functionals) if szlenk else ()), step, span
 
 
 def _leaf_moves(game: GameSpec, history) -> Optional[List[tuple]]:
@@ -423,10 +428,11 @@ def eval_payoff(game: GameSpec, leaf: History) -> bool:
     moves = _leaf_moves(game, leaf)
     if moves is None:
         raise ValueError("leaf is not a maximal history")
-    state, step, ii_wins = _scorer(game)
+    i, step, span = _scorer(game)
     for offer, ci in moves:
-        state = step(state, offer, ci)
-    return ii_wins(state)
+        after = game._steps.get(i * span + offer[4] + ci)
+        i = step(i, offer, ci) if after is None else after
+    return game._wins[i]
 
 
 # -- solving -----------------------------------------------------------------
@@ -438,26 +444,26 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
     Player I wins at a position iff some offer (label, subspace) leaves
     every compact reply losing for II; the returned strategy follows the
     lexicographically least such offer, and for II the least winning reply.
-    A position is the tree node's arena id with the partial sums s_f under
-    the szlenk payoff (None once a reply's selection set is empty: no leaf
-    below it wins for II), and with the whole history under a table payoff.
-    Each position is decided once, on an explicit stack; the strategy then
-    prescribes a move at every history its own plays reach, with the game's
-    offer and move tuples (``_offers``).
+    A position is the tree node's arena id with the play's state id
+    (``_scorer``).  Each position is decided once, on an explicit stack; the
+    strategy then prescribes a move at every history its own plays reach,
+    with the game's offer and move tuples (``_offers``).
     """
-    kids, n_compacts = game._kids, game.n_compacts
-    root, step, ii_wins = _scorer(game)
+    kids, n_compacts, steps, wins = game._kids, game.n_compacts, game._steps, game._wins
+    root, step, span = _scorer(game)
 
-    def decide(node: int, state):
+    def decide(node: int, i: int):
         # yields each non-terminal child position it needs decided and is
         # sent back whether I wins there; returns (True, least winning offer)
         # or (False, least winning reply for each offer in order)
         replies = []
         for offer in _offers(game, node):
-            terminal = not kids[offer[0]]
+            terminal, at = not kids[offer[0]], i * span + offer[4]
             for ci in range(n_compacts):
-                after = step(state, offer, ci)
-                i_won = not ii_wins(after) if terminal else (yield offer[0], after)
+                after = steps.get(at + ci)
+                if after is None:
+                    after = step(i, offer, ci)
+                i_won = not wins[after] if terminal else (yield offer[0], after)
                 if not i_won:
                     replies.append(ci)
                     break
@@ -465,7 +471,7 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
                 return True, offer
         return False, replies
 
-    decided: Dict[tuple, tuple] = {}
+    decided: Dict[Tuple[int, int], tuple] = {}
     stack = [((0, root), decide(0, root))]
     sent = None
     while stack:
@@ -483,12 +489,13 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
             stack.append((child, decide(*child)))
             sent = None
 
+    # every move of the write-out was taken by ``decide``, so ``_steps`` has it
     i_wins = decided[(0, root)][0]
     moves: dict = {}
-    plays: List[Tuple[History, int, object]] = [((), 0, root)]
+    plays: List[Tuple[History, int, int]] = [((), 0, root)]
     while plays:
-        history, node, state = plays.pop()
-        choice = decided[(node, state)][1]
+        history, node, i = plays.pop()
+        choice = decided[(node, i)][1]
         if i_wins:
             moves[history] = choice[2]
             branches = [(choice, ci) for ci in range(n_compacts)]
@@ -498,53 +505,65 @@ def solve(game: GameSpec) -> Tuple[str, Strategy]:
                 moves[(history, offer[2])] = ci
         for offer, ci in branches:
             if kids[offer[0]]:
-                plays.append((history + (offer[3][ci],), offer[0], step(state, offer, ci)))
+                plays.append((history + (offer[3][ci],), offer[0], steps[i * span + offer[4] + ci]))
     winner = "I" if i_wins else "II"
     return winner, Strategy(winner, moves)
 
 
-def _plays(game: GameSpec, strategy: Strategy, root, step) -> Iterator[tuple]:
+def _plays(game: GameSpec, strategy: Strategy, extend=None, payload=None) -> Iterator[tuple]:
     """Walk every play consistent with ``strategy``, without recursion.
 
-    Carries a state down the walk: ``root`` at the empty history and
-    ``step`` at each move, as ``_scorer`` gives.  Yields ``(leaf, state)`` at
-    each maximal history, built of the game's move tuples (``_offers``), and
-    ends with ``(None, state)`` at the first prescription that is missing or
-    illegal: for Player I as ``_offer_at`` decides, for Player II a reply
-    that is not an int index in range.
+    Carries the state id (``_scorer``) and a caller's ``payload`` down the
+    walk: ``payload`` at the empty history, then ``extend(payload, offer,
+    ci)`` once per move, if ``extend`` is given.  Yields ``(leaf, id,
+    payload)`` at each maximal history, built of the game's move tuples
+    (``_offers``), and ends with ``(None, id, payload)`` at the first
+    prescription that is missing or illegal: for Player I as ``_offer_at``
+    decides, for Player II a reply that is not an int index in range.
     """
-    kids, n_compacts, moves = game._kids, game.n_compacts, strategy.moves
-    stack: List[Tuple[History, int, object]] = [((), 0, root)]
-    while stack:
-        history, node, state = stack.pop()
-        if strategy.player == "I":
+    kids, n_compacts, moves, steps = game._kids, game.n_compacts, strategy.moves, game._steps
+    root, step, span = _scorer(game)
+    stack: List[tuple] = [((), 0, root, payload)]
+    if strategy.player == "I":
+        while stack:
+            history, node, i, payload = stack.pop()
             offer = _offer_at(game, node, moves.get(history))
             if offer is None:
-                yield None, state
+                yield None, i, payload
                 return
-            branches = [(offer, ci) for ci in range(n_compacts)]
-        else:
-            branches = []
+            child, at = offer[0], i * span + offer[4]
+            for ci, move in enumerate(offer[3]):
+                after = steps.get(at + ci)
+                if after is None:
+                    after = step(i, offer, ci)
+                below = payload if extend is None else extend(payload, offer, ci)
+                if kids[child]:
+                    stack.append((history + (move,), child, after, below))
+                else:
+                    yield history + (move,), after, below
+    else:
+        while stack:
+            history, node, i, payload = stack.pop()
             for offer in _offers(game, node):
                 ci = moves.get((history, offer[2]))
-                if not (_is_int(ci) and 0 <= ci < n_compacts):
-                    yield None, state
+                if not ((type(ci) is int or _is_int(ci)) and 0 <= ci < n_compacts):
+                    yield None, i, payload
                     return
-                branches.append((offer, ci))
-        for offer, ci in branches:
-            after = step(state, offer, ci)
-            if kids[offer[0]]:
-                stack.append((history + (offer[3][ci],), offer[0], after))
-            else:
-                yield history + (offer[3][ci],), after
+                after = steps.get(i * span + offer[4] + ci)
+                if after is None:
+                    after = step(i, offer, ci)
+                below = payload if extend is None else extend(payload, offer, ci)
+                if kids[offer[0]]:
+                    stack.append((history + (offer[3][ci],), offer[0], after, below))
+                else:
+                    yield history + (offer[3][ci],), after, below
 
 
 def verify_strategy(game: GameSpec, strategy: Strategy) -> bool:
     """Exhaustively play every admissible playout; True iff all favor the owner."""
-    owner_is_ii = strategy.player == "II"
-    root, step, ii_wins = _scorer(game)
-    for leaf, state in _plays(game, strategy, root, step):
-        if leaf is None or ii_wins(state) != owner_is_ii:
+    owner_is_ii, wins = strategy.player == "II", game._wins
+    for leaf, i, _ in _plays(game, strategy):
+        if leaf is None or wins[i] != owner_is_ii:
             return False
     return True
 
@@ -614,7 +633,7 @@ def complete_substrategy(game: GameSpec, sub: Strategy, fallback_z: int) -> Stra
             raise ValueError("substrategy is undefined at a reachable position")
         else:
             move = total[history] = offers[fallback_z][2]
-        for child, _, offer, moves in offers:
+        for child, _, offer, moves, _ in offers:
             if kids[child]:
                 played = on_play and offer == move
                 stack.extend((history + (m,), child, played) for m in moves)
@@ -644,29 +663,25 @@ def extract_collections(game: GameSpec, strategy: Strategy) -> ExtractedCollecti
         raise ValueError("collection extraction needs a strategy for Player II")
     gains, xstars = game.model._gains, game.model.functionals
     by_vector = sorted(range(len(xstars)), key=xstars.__getitem__)
-    root, step, ii_wins = _scorer(game)
     compact_choices: Dict[ZDHistory, int] = {}
     functionals: Dict[ZDHistory, Vector] = {}
     selections: Dict[Tuple[ZDHistory, ZDHistory], Vector] = {}
-    witness = game._witness  # the functional's index, per leaf's sums
+    states, wins, witness = game._states, game._wins, game._witness  # witness: j per leaf's id
 
-    def step_with_prefixes(state, offer, ci):
-        # the partial sums, and the (label, subspace) prefixes of the history,
-        # the empty one first, shared with every history below it; the walk
-        # steps once per reply the strategy prescribes, so the new prefix
-        # keys that reply's compact choice
-        sums, prefixes = state
+    def extend(prefixes, offer, ci):
+        # the (label, subspace) prefixes of the history, the empty one first,
+        # shared with every history below it; the walk extends once per reply
+        # the strategy prescribes, so the new prefix keys that reply's choice
         pairs = prefixes[-1] + (offer[2],)
         compact_choices[pairs] = ci
-        return step(sums, offer, ci), prefixes + (pairs,)
+        return prefixes + (pairs,)
 
-    for leaf, (sums, prefixes) in _plays(game, strategy, (root, ((),)), step_with_prefixes):
-        if leaf is None or not ii_wins(sums):
+    for leaf, i, prefixes in _plays(game, strategy, extend, ((),)):
+        if leaf is None or not wins[i]:
             raise ValueError("strategy is not a verified win for Player II")
-        j = witness.get(sums)
-        if j is None:
-            top = max(sums)
-            j = witness[sums] = next(j for j in by_vector if sums[j] == top)
+        j = witness.get(i)
+        if j is None:  # the first of greatest value in by_vector's order
+            j = witness[i] = max(by_vector, key=states[i].__getitem__)
         pairs = prefixes[-1]
         functionals[pairs] = xstars[j]
         for prefix, (_, zi, ci) in zip(prefixes[1:], leaf):
