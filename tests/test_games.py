@@ -1305,6 +1305,51 @@ class TestGameMemo:
             assert self.outputs(fresh, other) == self.outputs(fresh, strategy) == want
 
 
+class TestEdgeStates:
+    """Plays whose states cannot win for II (no functionals: the sums are ();
+    every selection set empty: the sums die to None) go through the solver,
+    the verifier and the extractor alike, and a reply that is an int
+    subclass counts as its int value."""
+
+    NO_FUNCTIONALS = whole_space_model(functionals=())
+    ALL_DEAD = ModelSpace(1, [[], ZERO_SUBSPACE_1D], [[["2"]], [["-3"]]], [["1"]], HALF)
+
+    @pytest.mark.parametrize("model, states", [(NO_FUNCTIONALS, [()]), (ALL_DEAD, [(0,), None])],
+                             ids=["no-functionals", "all-selection-sets-empty"])
+    def test_player_one_wins_and_forged_ii_is_refused(self, model, states):
+        game = build_szlenk_game(Ordinal(2), TruncationBudget(max_n=2), model)
+        winner, strategy = solve(game)
+        assert winner == "I"
+        assert verify_strategy(game, strategy)
+        assert game._states == states  # each distinct state numbered once
+        leaves = maximal_histories(game)
+        for ci in range(game.n_compacts):
+            forged = Strategy("II", {(leaf[:i], m[:2]): ci for leaf in leaves for i, m in enumerate(leaf)})
+            assert not verify_strategy(game, forged)
+            with pytest.raises(ValueError, match="^strategy is not a verified win for Player II$"):
+                extract_collections(game, forged)
+
+    def test_int_enum_reply_counts_as_its_value(self):
+        import enum
+
+        model = ModelSpace(epsilon=HALF, **W_SZLENK)
+        Compact = enum.IntEnum("Compact", {"FIRST": 0, "SECOND": 1, "THIRD": 2})
+
+        def fresh():
+            return build_szlenk_game(ONE, TruncationBudget(max_n=3), model)
+
+        winner, strategy = solve(fresh())
+        assert winner == "II"
+        as_enum = Strategy("II", {key: Compact(ci) for key, ci in strategy.moves.items()})
+        # each on a fresh game, so that the enum replies key the new transitions
+        game = fresh()
+        assert verify_strategy(game, as_enum)
+        got, want = extract_collections(game, as_enum), extract_collections(fresh(), strategy)
+        assert got == want
+        assert json.dumps(collections_to_json(got)) == json.dumps(collections_to_json(want))
+        assert all(type(key) is int for key in game._steps)
+
+
 class TestDeepChain:
     def test_walks_deeper_than_the_recursion_limit(self):
         # a single chain deeper than the recursion limit in force: solving,
