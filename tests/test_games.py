@@ -1,4 +1,5 @@
 import copy
+import enum
 import itertools
 import json
 import math
@@ -1330,8 +1331,6 @@ class TestEdgeStates:
                 extract_collections(game, forged)
 
     def test_int_enum_reply_counts_as_its_value(self):
-        import enum
-
         model = ModelSpace(epsilon=HALF, **W_SZLENK)
         Compact = enum.IntEnum("Compact", {"FIRST": 0, "SECOND": 1, "THIRD": 2})
 
