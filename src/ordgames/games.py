@@ -103,7 +103,7 @@ def _rational(x) -> Fraction:
     if type(x) is Fraction:  # immutable, so taken as it is
         return x
     try:
-        if isinstance(x, bool):  # JSON true and false are not numbers
+        if isinstance(x, bool) or x != x:  # JSON true, false and NaN are not numbers
             raise TypeError
         return Fraction(x)
     except (ZeroDivisionError, TypeError, OverflowError):
