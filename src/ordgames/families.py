@@ -16,12 +16,12 @@ Structure of the Gamma family at a successor index xi = sigma + 1: a member
 is a concatenation of blocks, the i-th block being a member of the Gamma
 family at sigma shifted label-wise by omega^sigma * (n - i) for a single
 parameter n >= 1, and every node weight is divided by n.  All blocks before
-the last must be maximal.  Labels are decomposed back into (block index,
-inner label) by division by omega^sigma with remainders taken in
-(0, omega^sigma], which is unambiguous because inner labels lie in
-[1, omega^sigma].  At a limit index the family is the union over zeta < xi
-of the successor family at zeta + 1 shifted by omega^zeta; the component of
-a path is recovered from its first label.
+the last must be maximal.  A label of block q is omega^sigma * q + r, its
+inner label r in (0, omega^sigma] leading with an exponent <= sigma, so q
+and r are read off its leading Cantor normal form term, and the label is
+built by concatenating terms.  At a limit index the family is the union of
+the successor families at zeta + 1, zeta < xi, shifted by omega^zeta, taken
+off a label's leading term too; a path's first label names its component.
 
 A member's state is what its family needs of it to go on below it: its
 last label in T, and in Gamma its reading (``_Reading``), which holds what
@@ -44,7 +44,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, _field, _Frozen, _json_object, path_to_text
-from .ordinal import ONE, ZERO, Ordinal, OrdinalError, _from_cnf, omega_pow, quot_rem_omega_pow, subtract_left
+from .ordinal import ONE, Ordinal, OrdinalError, _from_cnf, omega_pow
 
 __all__ = [
     "TruncationBudget",
@@ -209,10 +209,10 @@ class GammaFamily(_Family):
     """The weighted tree of order omega^xi.
 
     A node's state is its ``_Reading``.  At a successor sigma + 1 the family
-    keeps sigma and the block unit omega^sigma; a component of a limit is
-    such a family, and its unit is its shift.  ``_step`` splits a label into
-    its block quotient and its label in the block, or strips the label of
-    its component's unit, and steps once in Gamma one index level down.
+    keeps sigma; a component of a limit is such a family, shifted by
+    omega^sigma.  ``_step`` reads a label's leading CNF term to split it into
+    its block quotient and its label in the block, or to strip the shift,
+    and steps once in Gamma one index level down; ``_label`` builds labels.
     """
 
     kind = "Gamma"
@@ -223,17 +223,35 @@ class GammaFamily(_Family):
             self._sigma = self.xi.pred()
             self._unit = omega_pow(self._sigma)
 
+    # a successor's labels, read and built by their leading CNF term alone
+    def _split(self, label: Ordinal) -> tuple:
+        """(q, r) with label = omega^sigma * q + r, 0 < r <= omega^sigma; (None, label) for q infinite."""
+        f, c = label[0]
+        order = f._cmp(self._sigma)
+        if order:
+            return (None if order > 0 else 0), label
+        return (c, _from_cnf(label[1:])) if len(label) > 1 else (c - 1, self._unit)
+
+    def _strip(self, label: Ordinal) -> Optional[Ordinal]:
+        """The d > 0 with omega^sigma + d == label, else None."""
+        q, r = self._split(label)
+        return r if q is None else self._label(q - 1, r) if q else None
+
+    def _label(self, q: int, r: Ordinal) -> Ordinal:
+        """Block q's label r, omega^sigma * q + r; r > 0 leads with an exponent <= sigma."""
+        if not q:
+            return r
+        return _from_cnf(((self._sigma, q + r[0][1]), *r[1:]) if r[0][0] == self._sigma else ((self._sigma, q), *r))
+
     # bounded, as T's step cache: readings recur across the paths queried
     @lru_cache(maxsize=1 << 16)
     def _step(self, reading: Optional[_Reading], label: Ordinal) -> Optional[_Reading]:
         xi = self.xi
-        if xi.is_zero:
+        if xi.is_zero or not label:  # 0 or a failed strip's None is no label; 1 is Gamma_0's
             return _GAMMA_0 if reading is None and label == ONE else None
         if xi.is_successor:
-            try:
-                q, r = quot_rem_omega_pow(label, self._sigma, remainder_in_half_open_above=True)
-                q = q.as_int()  # an infinite quotient is no block index
-            except OrdinalError:
+            q, r = self._split(label)
+            if q is None:  # an infinite quotient is no block index
                 return None
             if reading is None:  # the first block, whose quotient is n - 1
                 block, n = None, q + 1
@@ -247,16 +265,13 @@ class GammaFamily(_Family):
             return None if block is None else _in_block(q, block, n)
         if reading is not None:
             component, stripped = reading.inner
-        elif label.is_zero or not label.leading_exponent < xi:
+        elif not label[0][0] < xi:
             return None
         else:
             # Gamma at zeta + 1 has its labels in [1, omega^(zeta + 1)), so
             # shifting them by omega^zeta keeps the leading exponent zeta
-            component, stripped = gamma_family(label.leading_exponent + 1), None
-        try:
-            stripped = component._step(stripped, subtract_left(component._unit, label))
-        except OrdinalError:
-            return None
+            component, stripped = gamma_family(label[0][0] + 1), None
+        stripped = component._step(stripped, component._strip(label))
         return None if stripped is None else _in_component(component, stripped)
 
     def _below(self, reading: Optional[_Reading], budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
@@ -269,12 +284,13 @@ class GammaFamily(_Family):
             if xi.is_zero:
                 return [(ONE, _GAMMA_0)]
             if xi.is_successor:  # the first block, whose quotient is n - 1
-                unit, pairs = self._unit, gamma_family(self._sigma)._below(None, budget)
-                return [(unit * q + r, _in_block(q, s, q + 1)) for q in range(budget.max_n) for r, s in pairs]
+                pairs = gamma_family(self._sigma)._below(None, budget)
+                return [(self._label(q, r), _in_block(q, s, q + 1)) for q in range(budget.max_n) for r, s in pairs]
             out = []
             for k in range(budget.max_n):
                 component = gamma_family(_fundamental(xi, k) + 1)
-                out += [(component._unit + r, _in_component(component, s)) for r, s in component._below(None, budget)]
+                pairs = component._below(None, budget)
+                out += [(component._label(1, r), _in_component(component, s)) for r, s in pairs]
             return out
         if reading.maximal:
             return []
@@ -282,28 +298,26 @@ class GammaFamily(_Family):
             q, last, n = reading.inner
             if last.maximal:  # so q > 0: only the next block may open
                 q, last = q - 1, None
-            base = self._unit * q
-            return [(base + r, _in_block(q, s, n)) for r, s in gamma_family(self._sigma)._below(last, budget)]
+            return [(self._label(q, r), _in_block(q, s, n)) for r, s in gamma_family(self._sigma)._below(last, budget)]
         component, stripped = reading.inner
-        shift = component._unit
-        return [(shift + r, _in_component(component, s)) for r, s in component._below(stripped, budget)]
+        return [(component._label(1, r), _in_component(component, s)) for r, s in component._below(stripped, budget)]
 
     def _leaf(self, reading: _Reading) -> bool:
         return reading.maximal
 
     def rank(self, path: NodePath) -> Ordinal:
         # below a node of block q lie the rest of its block and q whole blocks
-        # of order omega^sigma; ordinal addition is associative, so the terms
-        # are summed from the outermost index level in
-        family, reading, rank = self, self._states(path)[-1], ZERO
+        # of order omega^sigma; sigma drops from each index level to the next,
+        # so the levels' (sigma, q) with q > 0, outermost first, are its CNF
+        family, reading, terms = self, self._states(path)[-1], []
         while not family.xi.is_zero:
             if family.xi.is_successor:
                 q, reading, _ = reading.inner
-                rank = rank + family._unit * q
+                terms.append((family._sigma, q))
                 family = gamma_family(family._sigma)
             else:
                 family, reading = reading.inner
-        return rank
+        return _from_cnf(tuple(term for term in terms if term[1]))
 
     # -- weights -------------------------------------------------------------
 

@@ -28,8 +28,8 @@ meeting tuple's own order, concatenation or repetition.
 and read an int or CNF text through the checked constructor.  Terms
 this module computes are in Cantor normal form by construction, so
 ``pred``, ``+``, ``* n``, ``omega_pow``, ``omega_mul``, ``subtract_left``,
-``quot_rem_omega_pow`` (and ``families._fundamental``) build their results
-with the trusted ``_from_cnf``, which skips the checks.
+``quot_rem_omega_pow`` (and ``families``' labels and ranks) build their
+results with the trusted ``_from_cnf``, which skips the checks.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ class Ordinal(tuple):
 
 def _from_cnf(terms: Tuple[Tuple[Ordinal, int], ...]) -> Ordinal:
     """Trusted builder: ``terms`` must already be a CNF term tuple (Ordinal
-    exponents strictly decreasing, int coefficients >= 1).  Nothing is checked."""
-    return tuple.__new__(Ordinal, terms)
+    exponents strictly decreasing, int coefficients >= 1), unchecked; () gives the one ``ZERO``."""
+    return tuple.__new__(Ordinal, terms) if terms else ZERO
 
 
 def _is_int(value) -> bool:
@@ -274,7 +274,7 @@ def _ordinal(value: OrdinalLike) -> Ordinal:
     return value if isinstance(value, Ordinal) else Ordinal(value)
 
 
-ZERO = Ordinal()
+ZERO = tuple.__new__(Ordinal, ())  # the one 0, which _from_cnf(()) returns
 ONE = Ordinal(1)
 
 

@@ -21,7 +21,7 @@ from ordgames.families import (
     monotone_embedding,
     t_family,
 )
-from ordgames.ordinal import OMEGA, ONE, ZERO, Ordinal, omega_pow, quot_rem_omega_pow
+from ordgames.ordinal import OMEGA, ONE, ZERO, Ordinal, OrdinalError, omega_pow, quot_rem_omega_pow, subtract_left
 
 P = path_from_text
 B = TruncationBudget
@@ -633,6 +633,57 @@ class TestBlockRoundTrip:
         for label in branch:
             q, r = quot_rem_omega_pow(label, sigma, remainder_in_half_open_above=True)
             assert omega_pow(sigma) * q.as_int() + r == label
+
+
+# CNF ordinals below w^(w)*3, and exponents below w^(w)
+_BELOW_W_W_3 = st.builds(lambda c, rest: omega_pow(OMEGA) * c + rest, st.integers(0, 2), ordinals(height=1))
+_EXPONENTS = st.one_of(st.sampled_from([ZERO, ONE, OMEGA, OMEGA + 1]), ordinals(height=1, max_terms=2))
+
+
+class TestTermReadings:
+    """Gamma labels are split, stripped, built and ranked by reading and
+    concatenating CNF terms; each reading agrees with the general arithmetic."""
+
+    @given(_BELOW_W_W_3.filter(bool), _EXPONENTS)
+    def test_split(self, label, sigma):
+        try:
+            q, r = quot_rem_omega_pow(label, sigma, remainder_in_half_open_above=True)
+            expected = q.as_int(), r
+        except OrdinalError:
+            expected = None, label
+        assert gamma_family(sigma + 1)._split(label) == expected
+
+    @given(_BELOW_W_W_3.filter(bool), _EXPONENTS)
+    def test_strip(self, label, zeta):
+        try:
+            expected = subtract_left(omega_pow(zeta), label) or None
+        except OrdinalError:
+            expected = None
+        assert gamma_family(zeta + 1)._strip(label) == expected
+
+    @given(_BELOW_W_W_3.filter(bool), _EXPONENTS, st.integers(0, 4))
+    def test_shift(self, r, above, q):
+        sigma = r.leading_exponent + above  # so r leads with an exponent <= sigma
+        label = gamma_family(sigma + 1)._label(q, r)
+        assert label == omega_pow(sigma) * q + r
+        assert Ordinal(list(label)) == label  # canonical CNF
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(["1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2+2"]), st.data())
+    def test_rank(self, xi, data):
+        family = gamma_family(Ordinal(xi))
+        nodes = [path for path, _ in itertools.islice(family._walk(B(2)), 400)]
+        path = data.draw(st.sampled_from(nodes))
+        # the sum of omega^sigma * q over the index levels, outermost first
+        level, reading, rank = family, family._states(path)[-1], ZERO
+        while not level.xi.is_zero:
+            if level.xi.is_successor:
+                q, reading, _ = reading.inner
+                rank = rank + omega_pow(level.xi.pred()) * q
+                level = gamma_family(level.xi.pred())
+            else:
+                level, reading = reading.inner
+        assert family.rank(path) == rank
 
 
 class TestEmbedding:

@@ -294,6 +294,24 @@ class TestHashing:
             OMEGA.terms = ()
 
 
+class TestOneZero:
+    """Every 0 is the one object ``ZERO``: built, computed, unpickled or copied."""
+
+    def test_built_and_computed(self):
+        for zero in (Ordinal(), Ordinal(0), Ordinal("0"), Ordinal([]), ONE.pred(), OMEGA * 0,
+                     subtract_left(OMEGA, OMEGA), quot_rem_omega_pow(OMEGA + 1, 2)[0]):
+            assert zero is ZERO
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle(self, protocol):
+        assert pickle.loads(pickle.dumps(ZERO, protocol)) is ZERO
+        assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+
+    def test_copy(self):
+        assert copy.copy(ZERO) is ZERO and copy.deepcopy(ZERO) is ZERO
+        assert copy.deepcopy(OMEGA + 1)[1][0] is ZERO
+
+
 class TestArgumentKinds:
     """The helpers read an int or CNF text through the checked constructor
     and use an ``Ordinal`` as it is: all three give the same results, and a
