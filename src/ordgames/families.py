@@ -118,9 +118,15 @@ class _Family:
         return f"{type(self).__name__}({self.xi})"
 
     def _read(self, path: NodePath) -> list:
-        """The states of the nonempty prefixes of ``path``; [] for a non-member."""
+        """The states of the nonempty prefixes of ``path``; [] for a non-member.
+        Other labels are read as ``Ordinal`` reads them: 1, 1.0 and True are one cache key."""
         states, state = [], None
         for label in path:
+            if type(label) is not Ordinal:
+                try:
+                    label = Ordinal(label)
+                except OrdinalError:
+                    return []
             state = self._step(state, label)
             if state is None:
                 return []

@@ -686,6 +686,38 @@ class TestTermReadings:
         assert family.rank(path) == rank
 
 
+class TestLabelsReadAsOrdinals:
+    """A path's labels are read as ``Ordinal`` reads them before they meet
+    the step caches: ints and CNF text name the same ordinals on every
+    family, a label ``Ordinal`` cannot read is no member, and no answer
+    depends on an earlier query."""
+
+    @pytest.mark.parametrize("family, label, unreadable", [(G2, 2, 2.0), (G1, 1, True), (t_family(ONE), 1, 1.0)])
+    @pytest.mark.parametrize("readable_first", [True, False])
+    def test_answers_do_not_depend_on_the_query_order(self, family, label, unreadable, readable_first):
+        GammaFamily._step.cache_clear()
+        TFamily._step.cache_clear()
+        if readable_first:
+            assert family.member((label,)) and not family.member((unreadable,))
+        else:  # (label,) == (unreadable,), so a cache keyed by raw labels answered False here
+            assert not family.member((unreadable,)) and family.member((label,))
+
+    @pytest.mark.parametrize("family", [t_family(Ordinal(3)), G2, GW], ids=["T_3", "Gamma_2", "Gamma_w"])
+    def test_int_and_text_labels(self, family):
+        for path, _ in itertools.islice(family._walk(B(3)), 200):
+            for read in (lambda label: label.as_int() if label.is_finite else label, str):
+                other = tuple(read(label) for label in path)
+                assert family.member(other) and family.rank(other) == family.rank(path)
+                assert family.is_maximal(other) == family.is_maximal(path)
+
+    @pytest.mark.parametrize("label", [1.5, "x", None, -1, [(ZERO, 0)]])
+    def test_unreadable_labels_are_no_members(self, label):
+        for family in (t_family(Ordinal(3)), G1, G2, GW):
+            assert not family.member((label,))
+            with pytest.raises(ValueError, match="is not a member"):
+                family.rank((label,))
+
+
 class TestEmbedding:
     def test_2_into_3(self):
         phi = monotone_embedding(Ordinal(2), Ordinal(3))
