@@ -119,7 +119,7 @@ class _Family:
 
     def _read(self, path: NodePath) -> list:
         """The states of the nonempty prefixes of ``path``; [] for a non-member.
-        Other labels are read as ``Ordinal`` reads them: 1, 1.0 and True are one cache key."""
+        A label that is no ``Ordinal`` is read by ``Ordinal`` first: 1, 1.0 and True hash alike."""
         states, state = [], None
         for label in path:
             if type(label) is not Ordinal:
