@@ -68,6 +68,11 @@ class _Frozen:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _set(self, **values) -> None:
+        """Write slots past that refusal: in a constructor, or once for a lazy cache."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
     def __reduce__(self):
         # through the constructor: __setattr__ refuses the default slot-by-slot restore
         return type(self), self._values()
@@ -95,9 +100,7 @@ class FiniteBTree(_Frozen):
         node_set = frozenset(tuple(n) for n in nodes)
         if () in node_set:
             raise ValueError("the empty sequence cannot be a member")
-        object.__setattr__(self, "_nodes", node_set)
-        object.__setattr__(self, "_children", None)
-        object.__setattr__(self, "_ranks", None)
+        self._set(_nodes=node_set, _children=None, _ranks=None)
 
     @classmethod
     def closure(cls, paths: Iterable[NodePath]) -> "FiniteBTree":
@@ -138,7 +141,7 @@ class FiniteBTree(_Frozen):
                 index.setdefault(t[:-1], []).append(t[-1])
             for labels in index.values():
                 labels.sort()
-            object.__setattr__(self, "_children", index)
+            self._set(_children=index)
         return self._children
 
     def children_labels(self, path: NodePath = ()) -> List[Ordinal]:
@@ -171,7 +174,7 @@ class FiniteBTree(_Frozen):
             for t in sorted(self._nodes, key=len, reverse=True):
                 kids = index.get(t)
                 ranks[t] = 1 + max(ranks[t + (c,)] for c in kids) if kids else 0
-            object.__setattr__(self, "_ranks", ranks)
+            self._set(_ranks=ranks)
         return self._ranks
 
     def rank(self, path: NodePath) -> int:

@@ -20,7 +20,7 @@ from functools import total_ordering
 from typing import AbstractSet, Callable, FrozenSet, Hashable, Union
 
 from .btree import _Frozen
-from .ordinal import ONE, Ordinal, OrdinalError, omega_mul, omega_pow, quot_rem_omega_pow
+from .ordinal import ONE, Ordinal, OrdinalError, _is_int, omega_mul, quot_rem_omega_pow
 
 __all__ = [
     "INFINITY",
@@ -51,14 +51,12 @@ class Infinity:
     def __str__(self):
         return "inf"
 
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash("Infinity")
+    # one instance, so identity is equality; by name every pickle and copy is it
+    def __reduce__(self):
+        return "INFINITY"
 
     def __gt__(self, other):
-        if isinstance(other, (Ordinal, int)):
+        if isinstance(other, Ordinal) or _is_int(other):
             return True
         if isinstance(other, Infinity):
             return False
@@ -81,8 +79,7 @@ class DerivationSystem(_Frozen):
     step: Callable[[FrozenSet[Hashable]], AbstractSet[Hashable]]
 
     def __init__(self, ground, step):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "step", step)
+        self._set(ground=ground, step=step)
 
 
 def derivation_index(
@@ -130,13 +127,11 @@ def cb_index(alpha: Ordinal) -> Ordinal:
 def dz_bound(sz: Ordinal) -> Ordinal:
     """The dentability bound omega * sz; equals sz itself once sz >= omega^omega.
 
-    For sz = omega^xi this is omega^(1 + xi), which fixes sz exactly when
-    xi >= omega.  Non-power input (outside the convex-set case) gets the same
-    left multiplication applied term by term.
+    For sz = omega^xi this is omega^(1 + xi) (omega_mul shifts each exponent e
+    to 1 + e), which fixes sz exactly when xi >= omega.  Non-power input
+    (outside the convex-set case) gets the same shift term by term.
     """
     sz = Ordinal(sz)
     if sz.is_zero:
         raise OrdinalError("no bound for index 0")
-    if len(sz.terms) == 1 and sz.terms[0][1] == 1:
-        return omega_pow(ONE + sz.leading_exponent)
     return omega_mul(sz)

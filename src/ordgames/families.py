@@ -77,8 +77,7 @@ class TruncationBudget(_Frozen):
     def __init__(self, max_n: int, max_depth: int = _MAX_DEPTH):
         if type(max_n) is not int or type(max_depth) is not int:
             raise TypeError("max_n and max_depth must be ints")
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "max_depth", max_depth)
+        self._set(max_n=max_n, max_depth=max_depth)
         if max_n < 1:
             raise ValueError("max_n must be >= 1")
         if max_depth < 1:
@@ -284,7 +283,8 @@ class GammaFamily(_Family):
         # sorted as built: block n's labels lie in (unit * n, unit * (n + 1)],
         # component zeta's in (omega^zeta, omega^(zeta + 1)], and shifting a
         # sorted list on the left keeps it sorted.  A maximal reading has
-        # nothing below it, and every reading at 0 is maximal
+        # nothing below it, and every reading at 0 is maximal.  At a limit,
+        # one rule over (component, state): each component's root at the root
         xi = self.xi
         if reading is None:
             if xi.is_zero:
@@ -292,21 +292,18 @@ class GammaFamily(_Family):
             if xi.is_successor:  # the first block, whose quotient is n - 1
                 pairs = gamma_family(self._sigma)._below(None, budget)
                 return [(self._label(q, r), _in_block(q, s, q + 1)) for q in range(budget.max_n) for r, s in pairs]
-            out = []
-            for k in range(budget.max_n):
-                component = gamma_family(_fundamental(xi, k) + 1)
-                pairs = component._below(None, budget)
-                out += [(component._label(1, r), _in_component(component, s)) for r, s in pairs]
-            return out
-        if reading.maximal:
+            components = [(gamma_family(_fundamental(xi, k) + 1), None) for k in range(budget.max_n)]
+        elif reading.maximal:
             return []
-        if xi.is_successor:
+        elif xi.is_successor:
             q, last, n = reading.inner
             if last.maximal:  # so q > 0: only the next block may open
                 q, last = q - 1, None
             return [(self._label(q, r), _in_block(q, s, n)) for r, s in gamma_family(self._sigma)._below(last, budget)]
-        component, stripped = reading.inner
-        return [(component._label(1, r), _in_component(component, s)) for r, s in component._below(stripped, budget)]
+        else:
+            components = [reading.inner]
+        return [(component._label(1, r), _in_component(component, s))
+                for component, state in components for r, s in component._below(state, budget)]
 
     def _leaf(self, reading: _Reading) -> bool:
         return reading.maximal

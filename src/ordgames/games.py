@@ -135,16 +135,14 @@ class ModelSpace(_Frozen):
         if dim < 1:
             raise ValueError("dim must be positive")
         vec = lambda entries: self._vector(entries, dim)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(
-            self, "subspaces", tuple(tuple(vec(row) for row in m) for m in subspaces)
+        self._set(
+            dim=dim,
+            subspaces=tuple(tuple(vec(row) for row in m) for m in subspaces),
+            compacts=tuple(tuple(vec(x) for x in c) for c in compacts),
+            functionals=tuple(vec(f) for f in functionals),
+            epsilon=_rational(epsilon),
+            norm=norm,
         )
-        object.__setattr__(
-            self, "compacts", tuple(tuple(vec(x) for x in c) for c in compacts)
-        )
-        object.__setattr__(self, "functionals", tuple(vec(f) for f in functionals))
-        object.__setattr__(self, "epsilon", _rational(epsilon))
-        object.__setattr__(self, "norm", norm)
         if not self.subspaces or not self.compacts:
             raise ValueError("move alphabets must be non-empty")
         if self.epsilon <= 0:
@@ -167,7 +165,7 @@ class ModelSpace(_Frozen):
             ]
             balls.append((ball, df * dc))
         gains = tuple(tuple(self._gain(z, *ball) for ball in balls) for z in range(len(matrices)))
-        object.__setattr__(self, "_gains", gains)
+        self._set(_gains=gains)
 
     def _gain(self, z_index: int, ball: list, d: int):
         selected = [(x, negated) for x, held, negated in ball if held[z_index]]
@@ -243,10 +241,7 @@ class GameSpec(_Frozen):
             raise ValueError(f"weight for {path_to_text(stray)}, which is not a tree node")
         if payoff != PAYOFF_SZLENK:
             payoff = frozenset(tuple(tuple(m) for m in h) for h in payoff)
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "weights", MappingProxyType(weights))
-        object.__setattr__(self, "payoff", payoff)
+        self._set(tree=tree, model=model, weights=MappingProxyType(weights), payoff=payoff)
         gains, eps = model._gains, model.epsilon
         dw = math.lcm(*(w.denominator for w in weights.values()))
         dp = math.lcm(*(p.denominator for row in gains for _, ps in row for p, _ in ps or ()))
@@ -265,12 +260,10 @@ class GameSpec(_Frozen):
             found = index.get(path, ())
             kids.append(dict(zip(found, range(len(paths), len(paths) + len(found)))))
             paths.extend(path + (zeta,) for zeta in found)
-        object.__setattr__(self, "_kids", tuple(kids))
-        object.__setattr__(self, "_int_weights", (0,) + tuple(scale(weights[p], dw) for p in paths[1:]))
-        object.__setattr__(self, "_int_peaks", int_peaks)
-        object.__setattr__(self, "_bar", -(-eps.numerator * dw * dp // eps.denominator))
-        for memo in ("_offer_table", "_ids", "_steps", "_witness", "_states", "_wins"):
-            object.__setattr__(self, memo, [] if memo in ("_states", "_wins") else {})
+        self._set(_kids=tuple(kids), _int_peaks=int_peaks,
+                  _int_weights=(0,) + tuple(scale(weights[p], dw) for p in paths[1:]),
+                  _bar=-(-eps.numerator * dw * dp // eps.denominator),
+                  _offer_table={}, _ids={}, _steps={}, _witness={}, _states=[], _wins=[])
         if payoff != PAYOFF_SZLENK and any(_leaf_moves(self, h) is None for h in payoff):
             raise ValueError("payoff table entry is not a maximal history")
 
@@ -291,29 +284,22 @@ class GameSpec(_Frozen):
         return [self.weights[node[: i + 1]] for i in range(len(node))]
 
 
-class Strategy:
+class Strategy(_Frozen):
     """A decision rule for one player.
 
     For Player I, ``moves`` maps histories (after II's reply, or the empty
     history) to (label, subspace index).  For Player II it maps pairs
     (history, offered (label, subspace index)) to a compact index.
-    Mutable, so unhashable.
+    Neither field can be rebound, but ``moves`` is a plain dict, so unhashable.
     """
 
-    __slots__ = ("player", "moves")
+    _FIELDS = ("player", "moves")
+    __slots__ = _FIELDS
 
     def __init__(self, player: str, moves: dict):
-        self.player, self.moves = player, moves
         if player not in ("I", "II"):
             raise ValueError(f"unknown player {player!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.player, self.moves) == (other.player, other.moves)
-
-    def __repr__(self):
-        return f"Strategy(player={self.player!r}, moves={self.moves!r})"
+        self._set(player=player, moves=moves)
 
 
 class ExtractedCollections(NamedTuple):

@@ -11,6 +11,7 @@ from ordgames.btree import FiniteBTree
 from ordgames.derivation import (
     INFINITY,
     DerivationSystem,
+    Infinity,
     cb_index,
     cb_stage,
     cb_step,
@@ -94,6 +95,16 @@ class TestInfinityMarker:
         assert not INFINITY < OMEGA
         assert INFINITY >= INFINITY and INFINITY == INFINITY
         assert INFINITY <= INFINITY and not INFINITY > INFINITY
+        with pytest.raises(TypeError):  # ints compare, bools do not: as for ordinals
+            INFINITY > True
+
+    def test_one_instance(self):
+        assert Infinity() is INFINITY
+        copies = [copy.copy(INFINITY), copy.deepcopy(INFINITY)]
+        copies += [pickle.loads(pickle.dumps(INFINITY, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert all(c is INFINITY for c in copies)
+        assert INFINITY != OMEGA and not INFINITY == OMEGA
+        assert {INFINITY: 1, OMEGA: 2}[INFINITY] == 1
 
 
 class TestCantorBendixson:

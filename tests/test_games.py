@@ -574,6 +574,11 @@ class TestStrategy:
             hash(strategy)
         with pytest.raises(ValueError, match="unknown player 'III'"):
             Strategy("III", {})
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(strategy, protocol)) == strategy
+        assert copy.copy(strategy) == strategy == copy.deepcopy(strategy)
+        with pytest.raises(AttributeError, match="Strategy is immutable"):
+            strategy.moves = {}
 
 
 class TestVerifyStrategy:

@@ -302,10 +302,19 @@ class TestOneZero:
                      subtract_left(OMEGA, OMEGA), quot_rem_omega_pow(OMEGA + 1, 2)[0]):
             assert zero is ZERO
 
-    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle(self, protocol):
         assert pickle.loads(pickle.dumps(ZERO, protocol)) is ZERO
         assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+        assert pickle.loads(pickle.dumps(OMEGA + 1, protocol))[1][0] is ZERO
+
+    def test_pickle_is_checked(self):
+        # a protocol-0 pickle of 1 with its coefficient edited to 0 is no ordinal
+        text = pickle.dumps(ONE, 0)
+        forged = text.replace(b"I1\n", b"I0\n")
+        assert forged != text and pickle.loads(text) == ONE
+        with pytest.raises(OrdinalError, match="coefficients must be >= 1"):
+            pickle.loads(forged)
 
     def test_copy(self):
         assert copy.copy(ZERO) is ZERO and copy.deepcopy(ZERO) is ZERO
