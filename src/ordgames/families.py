@@ -27,6 +27,9 @@ A member's state is what its family needs of it to go on below it: its
 last label in T, and in Gamma its reading (``_Reading``), which holds what
 its maximality, rank, weight and the labels one step below it need; state
 None is the virtual root; a state fixes the labelled subtree below it.
+Gamma readings are interned, one object per reading, so they are compared
+and hashed by identity; the intern table is bounded at 65,536 entries and
+cleared when full.
 Each family has one child rule each way.  ``_step`` gives a child's state
 from its parent's and its label; a point query folds it over its path, one
 label at a time, and each family's step keeps one bounded point-query cache
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, _field, _Frozen, _json_object, path_to_text
 from .ordinal import ONE, Ordinal, OrdinalError, _from_cnf, omega_pow
@@ -354,10 +357,13 @@ class GammaFamily(_Family):
                 yield path, tuple(prefix.weight for prefix in prefixes)
 
 
-class _Reading(NamedTuple):
+class _Reading:
     """A member of a Gamma family as its walk and its queries see it: all
     that its children, maximality, rank and weight depend on, and nothing
-    that grows with its length."""
+    that grows with its length.  Read-only, and made only by ``_interned``
+    (``_GAMMA_0`` aside), so it is compared and hashed by identity."""
+
+    __slots__ = ("maximal", "denominator", "inner", "weight")
 
     maximal: bool
     denominator: int  # the node weighs 1 / denominator
@@ -367,23 +373,43 @@ class _Reading(NamedTuple):
     # the component, Gamma at zeta + 1, and the reading in it of the path
     # stripped of omega^zeta
     inner: tuple
+    weight: Fraction  # computed once
 
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, self.denominator)
+    def __init__(self, maximal: bool, denominator: int, inner: tuple):
+        for name, value in zip(self.__slots__, (maximal, denominator, inner, Fraction(1, denominator))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("_Reading is read-only")
 
 
-_GAMMA_0 = _Reading(True, 1, ())
+_GAMMA_0 = _Reading(True, 1, ())  # the one reading at index 0, never interned
+
+# one reading per inner, which fixes maximal and denominator and holds
+# interned readings, so that its hash is shallow.  Bounded as the step caches
+# are, cleared when full: that costs only re-reading, as no answer depends on
+# which reading is which object
+_READINGS: Dict[tuple, _Reading] = {}
+_READINGS_MAX = 1 << 16
+
+
+def _interned(maximal: bool, denominator: int, inner: tuple) -> _Reading:
+    reading = _READINGS.get(inner)
+    if reading is None:
+        if len(_READINGS) >= _READINGS_MAX:
+            _READINGS.clear()
+        reading = _READINGS[inner] = _Reading(maximal, denominator, inner)
+    return reading
 
 
 def _in_block(q: int, block: _Reading, n: int) -> _Reading:
     """The reading of a node of block q, parameter n, whose block reads ``block``."""
-    return _Reading(q == 0 and block.maximal, block.denominator * n, (q, block, n))
+    return _interned(q == 0 and block.maximal, block.denominator * n, (q, block, n))
 
 
 def _in_component(component: GammaFamily, stripped: _Reading) -> _Reading:
     """The reading at a limit of a node of ``component``."""
-    return _Reading(stripped.maximal, stripped.denominator, (component, stripped))
+    return _interned(stripped.maximal, stripped.denominator, (component, stripped))
 
 
 @lru_cache(maxsize=None)

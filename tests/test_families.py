@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import pickle
 import sys
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ordinals
 from oracles import gamma1_members, gamma2_members_from_display, gamma_members, reference_walk, t_members
+from ordgames import families
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
     GammaFamily,
@@ -716,6 +718,103 @@ class TestLabelsReadAsOrdinals:
             assert not family.member((label,))
             with pytest.raises(ValueError, match="is not a member"):
                 family.rank((label,))
+
+
+def _forget_readings():
+    """Empty the intern table and the step caches, which hold readings too."""
+    families._READINGS.clear()
+    GammaFamily._step.cache_clear()
+    TFamily._step.cache_clear()
+
+
+# Gamma at finite, limit and successor-of-limit indices, with the max_n of
+# the walks whose nodes are queried
+READ_CASES = [(gamma_family(Ordinal(xi)), n) for xi, n in (("1", 4), ("2", 3), ("w", 2), ("w+1", 2), ("w*2", 2))]
+
+
+@functools.lru_cache(maxsize=None)
+def _read_nodes(family, n):
+    return [path for path, _ in family._walk(B(n))]
+
+
+class TestInternedReadings:
+    """A Gamma reading is interned: one object per reading, compared and
+    hashed by identity, in a table bounded by ``_READINGS_MAX`` and cleared
+    when full.  No answer depends on which reading is which object."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        # a clear leaves the step caches holding readings the table has
+        # forgotten; start and leave every test with neither
+        _forget_readings()
+        yield
+        _forget_readings()
+
+    @pytest.mark.parametrize(
+        "family, max_n",
+        [
+            (t_family(OMEGA * 2 + 3), 3),
+            (t_family(omega_pow(2)), 3),
+            (G2, 3),
+            (gamma_family(OMEGA + 1), 2),
+            (GW, 2),
+            (gamma_family(omega_pow(2)), 2),
+        ],
+        ids=["T_w*2+3", "T_w^2", "Gamma_2", "Gamma_w+1", "Gamma_w", "Gamma_w^2"],
+    )
+    def test_the_walk_yields_the_read_objects(self, family, max_n):
+        walked = list(family._walk(B(max_n)))
+        assert len(walked) > 10
+        for path, state in walked:
+            assert state is family._read(path)[-1], path
+
+    def test_one_reading_at_index_0(self):
+        zero = families._GAMMA_0
+        assert G0._read(P("1")) == [zero] and G0._below(None, B(3)) == [(ONE, zero)]
+        families._READINGS.clear()
+        assert G0._read(P("1"))[0] is zero and G1._read(P("1"))[0].inner[1] is zero
+        # a reading equal in value but not interned is another reading
+        assert families._Reading(True, 1, ()) != zero
+
+    def test_readings_are_read_only(self):
+        reading = G2._read(P("2"))[-1]
+        for name, value in (("maximal", False), ("denominator", 3), ("inner", ()), ("weight", Fraction(1, 3)), ("x", 1)):
+            with pytest.raises(AttributeError):
+                setattr(reading, name, value)
+        assert (reading.maximal, reading.denominator, reading.weight) == (False, 2, Fraction(1, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(READ_CASES), st.data())
+    def test_answers_do_not_depend_on_the_query_order_across_a_clear(self, case, data):
+        family, n = case
+        nodes = data.draw(st.lists(st.sampled_from(_read_nodes(family, n)), min_size=1, max_size=5))
+
+        def answers(path):
+            repeated = path + path[-1:]  # no Gamma member repeats a label
+            return (family.member(path), family.member(repeated), family.is_maximal(path),
+                    family.rank(path), family.weight(path), family.children(path, B(n)))
+
+        before = [answers(path) for path in nodes]
+        families._READINGS.clear()
+        GammaFamily._step.cache_clear()
+        assert [answers(path) for path in reversed(nodes)][::-1] == before
+        assert not any(member for _, member, *_ in before)
+
+    @pytest.mark.parametrize("case", READ_CASES, ids=[f"Gamma_{family.xi}" for family, _ in READ_CASES])
+    def test_a_small_table_gives_the_same_walks(self, case, monkeypatch):
+        family, n = case
+        budget = B(n)
+        expected = family.truncate(budget), family.node_weights(budget), list(family.weighted_branches(budget))
+        _forget_readings()
+        monkeypatch.setattr(families, "_READINGS_MAX", 8)
+        sizes = []
+        for _ in family._walk(budget):
+            sizes.append(len(families._READINGS))
+        assert max(sizes) <= 8 and any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared mid-walk
+        branches = list(family.weighted_branches(budget))
+        assert (family.truncate(budget), family.node_weights(budget), branches) == expected
+        assert [(path, family.prefix_weights(path)) for path, _ in branches] == expected[2]
+        assert len(families._READINGS) <= 8
 
 
 class TestEmbedding:
