@@ -25,7 +25,7 @@ MANIFEST = CORPUS / "expected.json"
 
 def read_cases() -> list:
     """(name, argv) per case, in file order."""
-    cases = [line.split() for line in (CORPUS / "cases").read_text().splitlines()]
+    cases = [line.split() for line in (CORPUS / "cases").read_text(encoding="utf-8").splitlines()]
     return [(case[0], case[1:]) for case in cases if case and not case[0].startswith("#")]
 
 
