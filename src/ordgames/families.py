@@ -24,12 +24,13 @@ the successor families at zeta + 1, zeta < xi, shifted by omega^zeta, taken
 off a label's leading term too; a path's first label names its component.
 
 A member's state is what its family needs of it to go on below it: its
-last label in T, and in Gamma its reading (``_Reading``), which holds what
-its maximality, rank, weight and the labels one step below it need; state
-None is the virtual root; a state fixes the labelled subtree below it.
-Gamma readings are interned, one object per reading, so they are compared
-and hashed by identity; the intern table is bounded at 65,536 entries and
-cleared when full.
+last label in T, and in Gamma its reading (``_Reading``), which holds its
+maximality, rank, weight and what the labels one step below it need; state
+None is the virtual root; a state fixes the labelled subtree below it, in
+every family.  Gamma readings are interned, one object per reading, so they
+are compared and hashed by identity; one at a successor index is keyed on
+its family too, one at a limit on its component.  The intern table is
+bounded at 65,536 entries and cleared when full.
 Each family has one child rule each way.  ``_step`` gives a child's state
 from its parent's and its label; a point query folds it over its path, one
 label at a time, and each family's step keeps one bounded point-query cache
@@ -43,11 +44,11 @@ when the walk ends, and leaves the step caches alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, _field, _Frozen, _json_object, path_to_text
-from .ordinal import ONE, Ordinal, OrdinalError, _from_cnf, omega_pow
+from .ordinal import ONE, ZERO, Ordinal, OrdinalError, _from_cnf, omega_pow
 
 __all__ = [
     "TruncationBudget",
@@ -217,10 +218,9 @@ class GammaFamily(_Family):
     """The weighted tree of order omega^xi.
 
     A node's state is its ``_Reading``.  At a successor sigma + 1 the family
-    keeps sigma; a component of a limit is such a family, shifted by
-    omega^sigma.  ``_step`` reads a label's leading CNF term to split it into
-    its block quotient and its label in the block, or to strip the shift,
-    and steps once in Gamma one index level down; ``_label`` builds labels.
+    keeps sigma, and Gamma at sigma from first use (``_down``); a component of
+    a limit is such a family, shifted by omega^sigma.  ``_step`` splits a label
+    by its leading CNF term, or strips the shift, and steps once a level down.
     """
 
     kind = "Gamma"
@@ -230,6 +230,10 @@ class GammaFamily(_Family):
         if self.xi.is_successor:
             self._sigma = self.xi.pred()
             self._unit = omega_pow(self._sigma)
+
+    @cached_property
+    def _down(self) -> GammaFamily:
+        return gamma_family(self._sigma)
 
     # a successor's labels, read and built by their leading CNF term alone
     def _split(self, label: Ordinal) -> tuple:
@@ -269,8 +273,8 @@ class GammaFamily(_Family):
                     block, q_last = None, q_last - 1
                 if q != q_last:
                     return None
-            block = gamma_family(self._sigma)._step(block, r)
-            return None if block is None else _in_block(q, block, n)
+            block = self._down._step(block, r)
+            return None if block is None else _in_block(self, q, block, n)
         if reading is not None:
             component, stripped = reading.inner
         elif not label[0][0] < xi:
@@ -293,8 +297,9 @@ class GammaFamily(_Family):
             if xi.is_zero:
                 return [(ONE, _GAMMA_0)]
             if xi.is_successor:  # the first block, whose quotient is n - 1
-                pairs = gamma_family(self._sigma)._below(None, budget)
-                return [(self._label(q, r), _in_block(q, s, q + 1)) for q in range(budget.max_n) for r, s in pairs]
+                pairs = self._down._below(None, budget)
+                return [(self._label(q, r), _in_block(self, q, s, q + 1))
+                        for q in range(budget.max_n) for r, s in pairs]
             components = [(gamma_family(_fundamental(xi, k) + 1), None) for k in range(budget.max_n)]
         elif reading.maximal:
             return []
@@ -302,7 +307,7 @@ class GammaFamily(_Family):
             q, last, n = reading.inner
             if last.maximal:  # so q > 0: only the next block may open
                 q, last = q - 1, None
-            return [(self._label(q, r), _in_block(q, s, n)) for r, s in gamma_family(self._sigma)._below(last, budget)]
+            return [(self._label(q, r), _in_block(self, q, s, n)) for r, s in self._down._below(last, budget)]
         else:
             components = [reading.inner]
         return [(component._label(1, r), _in_component(component, s))
@@ -312,18 +317,7 @@ class GammaFamily(_Family):
         return reading.maximal
 
     def rank(self, path: NodePath) -> Ordinal:
-        # below a node of block q lie the rest of its block and q whole blocks
-        # of order omega^sigma; sigma drops from each index level to the next,
-        # so the levels' (sigma, q) with q > 0, outermost first, are its CNF
-        family, reading, terms = self, self._states(path)[-1], []
-        while not family.xi.is_zero:
-            if family.xi.is_successor:
-                q, reading, _ = reading.inner
-                terms.append((family._sigma, q))
-                family = gamma_family(family._sigma)
-            else:
-                family, reading = reading.inner
-        return _from_cnf(tuple(term for term in terms if term[1]))
+        return self._states(path)[-1].rank
 
     # -- weights -------------------------------------------------------------
 
@@ -358,12 +352,13 @@ class GammaFamily(_Family):
 
 
 class _Reading:
-    """A member of a Gamma family as its walk and its queries see it: all
-    that its children, maximality, rank and weight depend on, and nothing
-    that grows with its length.  Read-only, and made only by ``_interned``
+    """A member of a Gamma family as its walk and its queries see it: its
+    maximality, rank, weight and all that its children depend on, and
+    nothing that grows with its length, so it fixes its subtree in every
+    family.  Read-only, and made only by ``_in_block`` and ``_in_component``
     (``_GAMMA_0`` aside), so it is compared and hashed by identity."""
 
-    __slots__ = ("maximal", "denominator", "inner", "weight")
+    __slots__ = ("maximal", "denominator", "inner", "weight", "rank")
 
     maximal: bool
     denominator: int  # the node weighs 1 / denominator
@@ -373,10 +368,13 @@ class _Reading:
     # the component, Gamma at zeta + 1, and the reading in it of the path
     # stripped of omega^zeta
     inner: tuple
-    weight: Fraction  # computed once
+    weight: Fraction  # computed once, as is the rank: below a node of block q
+    # lie the rest of its block and q whole blocks of order omega^sigma, so it
+    # is omega^sigma * q followed by the block's rank; at a limit the stripped's
+    rank: Ordinal
 
-    def __init__(self, maximal: bool, denominator: int, inner: tuple):
-        for name, value in zip(self.__slots__, (maximal, denominator, inner, Fraction(1, denominator))):
+    def __init__(self, maximal: bool, denominator: int, inner: tuple, rank: Ordinal = ZERO):
+        for name, value in zip(self.__slots__, (maximal, denominator, inner, Fraction(1, denominator), rank)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -385,31 +383,33 @@ class _Reading:
 
 _GAMMA_0 = _Reading(True, 1, ())  # the one reading at index 0, never interned
 
-# one reading per inner, which fixes maximal and denominator and holds
-# interned readings, so that its hash is shallow.  Bounded as the step caches
-# are, cleared when full: that costs only re-reading, as no answer depends on
-# which reading is which object
+# one reading per key, which fixes the reading and holds interned readings,
+# so that its hash is shallow; a reading is made only on a miss.  Bounded as
+# the step caches are, cleared when full: that costs only re-reading, as no
+# answer depends on which reading is which object
 _READINGS: Dict[tuple, _Reading] = {}
 _READINGS_MAX = 1 << 16
 
 
-def _interned(maximal: bool, denominator: int, inner: tuple) -> _Reading:
-    reading = _READINGS.get(inner)
-    if reading is None:
-        if len(_READINGS) >= _READINGS_MAX:
-            _READINGS.clear()
-        reading = _READINGS[inner] = _Reading(maximal, denominator, inner)
+def _interned(key: tuple, reading: _Reading) -> _Reading:
+    if len(_READINGS) >= _READINGS_MAX:
+        _READINGS.clear()
+    _READINGS[key] = reading
     return reading
 
 
-def _in_block(q: int, block: _Reading, n: int) -> _Reading:
-    """The reading of a node of block q, parameter n, whose block reads ``block``."""
-    return _interned(q == 0 and block.maximal, block.denominator * n, (q, block, n))
+def _in_block(family: GammaFamily, q: int, block: _Reading, n: int) -> _Reading:
+    """The reading of a node of block q, parameter n, of the successor ``family``, whose block reads ``block``."""
+    key = (family, q, block, n)
+    return _READINGS.get(key) or _interned(key, _Reading(
+        q == 0 and block.maximal, block.denominator * n, key[1:],
+        _from_cnf(((family._sigma, q), *block.rank)) if q else block.rank))
 
 
 def _in_component(component: GammaFamily, stripped: _Reading) -> _Reading:
     """The reading at a limit of a node of ``component``."""
-    return _interned(stripped.maximal, stripped.denominator, (component, stripped))
+    key = (component, stripped)
+    return _READINGS.get(key) or _interned(key, _Reading(stripped.maximal, stripped.denominator, key, stripped.rank))
 
 
 @lru_cache(maxsize=None)
