@@ -57,7 +57,8 @@ class OrdinalError(ValueError):
 
 OrdinalLike = Union["Ordinal", int, str]
 
-_TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
+# whitespace is allowed around every token; digits are ASCII (\d takes any)
+_TOKEN = re.compile(r"\s*([0-9]+|[w^*+()])\s*")
 
 # Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
 # parsing recurse once per level, so text nested much deeper would end in
