@@ -369,8 +369,8 @@ class _Reading:
     # stripped of omega^zeta
     inner: tuple
     weight: Fraction  # computed once, as is the rank: below a node of block q
-    # lie the rest of its block and q whole blocks of order omega^sigma, so it
-    # is omega^sigma * q followed by the block's rank; at a limit the stripped's
+    # lie the rest of its block and q whole blocks of order omega^sigma, so its
+    # rank is omega^sigma * q + the block's rank; at a limit, the stripped's
     rank: Ordinal
 
     def __init__(self, maximal: bool, denominator: int, inner: tuple, rank: Ordinal = ZERO):

@@ -57,8 +57,7 @@ class OrdinalError(ValueError):
 
 OrdinalLike = Union["Ordinal", int, str]
 
-# whitespace is allowed around every token; digits are ASCII (\d takes any)
-_TOKEN = re.compile(r"\s*([0-9]+|[w^*+()])\s*")
+_TOKEN = re.compile(r"\s*([0-9]+|[w^*+()])\s*")  # ASCII digits: \d takes any decimal digit
 
 # Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
 # parsing recurse once per level, so text nested much deeper would end in

@@ -737,6 +737,19 @@ def _read_nodes(family, n):
     return [path for path, _ in family._walk(B(n))]
 
 
+def _rank_by_levels(family, reading):
+    """The rank of ``reading`` in ``family``: the sum of omega^sigma * q over
+    the index levels, outermost first, read through ``inner``."""
+    rank = ZERO
+    while not family.xi.is_zero:
+        if family.xi.is_successor:
+            q, reading, _ = reading.inner
+            rank, family = rank + omega_pow(family.xi.pred()) * q, gamma_family(family.xi.pred())
+        else:
+            family, reading = reading.inner
+    return rank
+
+
 class TestInternedReadings:
     """A Gamma reading is interned: one object per reading, compared and
     hashed by identity, in a table bounded by ``_READINGS_MAX`` and cleared
@@ -815,6 +828,50 @@ class TestInternedReadings:
         assert (family.truncate(budget), family.node_weights(budget), branches) == expected
         assert [(path, family.prefix_weights(path)) for path, _ in branches] == expected[2]
         assert len(families._READINGS) <= 8
+
+    @pytest.mark.parametrize("case", READ_CASES, ids=[f"Gamma_{family.xi}" for family, _ in READ_CASES])
+    def test_a_small_table_gives_the_same_ranks(self, case, monkeypatch):
+        family, n = case
+        nodes = _read_nodes(family, n)
+        expected = [family.rank(path) for path in nodes]
+        _forget_readings()
+        monkeypatch.setattr(families, "_READINGS_MAX", 8)
+        ranks, sizes = [], []
+        for path in nodes:
+            ranks.append(family.rank(path))
+            sizes.append(len(families._READINGS))
+        assert max(sizes) <= 8 and any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared between queries
+        assert ranks == expected
+
+    def test_a_reading_fixes_its_subtree_in_every_family(self):
+        # these two nodes' readings have equal inners, but not equal ranks
+        nodes = [(gamma_family(OMEGA + 1), "w^(w)"), (gamma_family(OMEGA * 2 + 1), "w^(w*2)")]
+        for order in (nodes, nodes[::-1]):
+            _forget_readings()
+            first, second = (family._read(P(f"{rank}+2"))[-1] for family, rank in order)
+            assert first is not second and first.inner == second.inner
+            assert [family.rank(P(f"{rank}+2")) for family, rank in order] == [Ordinal(rank) for _, rank in order]
+        # every reading reached below the roots at max_n 2, in its family and,
+        # through its inner, in the family one index level down
+        reached = {}
+        for xi in (OMEGA + 1, OMEGA * 2 + 1, omega_pow(2) + 1):
+            top = gamma_family(xi)
+            todo = [(top, reading) for _, reading in top._below(None, B(2))]
+            while todo:
+                family, reading = todo.pop()
+                if family in reached.setdefault(reading, set()):
+                    continue
+                reached[reading].add(family)
+                todo += [(family, child) for _, child in family._below(reading, B(2))]
+                if family.xi.is_successor:
+                    todo.append((gamma_family(family.xi.pred()), reading.inner[1]))
+                elif family.xi.is_limit:
+                    todo.append(reading.inner)
+        shared = {reading: fams for reading, fams in reached.items() if len(fams) > 1}
+        assert len(shared) > 10
+        for reading, fams in shared.items():
+            assert len({tuple(label for label, _ in family._below(reading, B(2))) for family in fams}) == 1
+            assert {_rank_by_levels(family, reading) for family in fams} == {reading.rank}
 
 
 class TestEmbedding:

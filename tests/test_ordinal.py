@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import ordinals
 from oracles import mul_by_repeated_add
+from ordgames.btree import path_from_text
 from ordgames.families import _fundamental
 from ordgames.ordinal import (
     OMEGA,
@@ -52,6 +53,19 @@ class TestParse:
     @pytest.mark.parametrize("bad", ["", "w^", "w++1", "x", "w^(w", "3w", "w*", "(w)"])
     def test_syntax_errors(self, bad):
         with pytest.raises(OrdinalError):
+            Ordinal(bad)
+
+    @pytest.mark.parametrize(
+        "text, value", [(" 5", "5"), ("5 ", "5"), ("w+1 ", "w+1"), (" w + 1\n", "w+1"), ("w ^ ( w ) * 2 + 3\t", "w^(w)*2+3")]
+    )
+    def test_whitespace_around_every_token(self, text, value):
+        assert Ordinal(text) == Ordinal(value)
+        assert path_from_text(f"{text},{text}") == (Ordinal(value),) * 2
+
+    @pytest.mark.parametrize("bad", ["\u0663", "w^\u0662", "w*\uff13", "1\u0663", "w+\u09e7"])
+    def test_digits_are_ascii(self, bad):
+        # each of these is a Unicode decimal digit that int() reads
+        with pytest.raises(OrdinalError, match="bad CNF text"):
             Ordinal(bad)
 
     def test_negative_int(self):
