@@ -11,7 +11,7 @@ import itertools
 import json
 import sys
 
-from .ordinal import Ordinal, compare, omega_pow, quot_rem_omega_pow
+from .ordinal import _INT, Ordinal, compare, omega_pow, quot_rem_omega_pow
 
 # Each verb group imports the layers it uses when it runs, so that a process
 # loads no more of the package than its verb needs.
@@ -29,10 +29,16 @@ def _emit_json(data) -> None:
 
 
 def _budget(args):
-    from .families import TruncationBudget, budget_from_json
-    if args.budget is not None:
-        return budget_from_json(args.budget)
-    return TruncationBudget(max_n=args.max_n, max_depth=args.max_depth)
+    from .families import budget_from_json
+    flags = {"max_n": args.max_n, "max_depth": args.max_depth}
+    return budget_from_json(flags if args.budget is None else args.budget)
+
+
+def _int(text: str) -> int:
+    """An int argument: ASCII digits after an optional minus, as in CNF text."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 # Per group, its help text and per verb the verb's arguments in order, each a
@@ -40,8 +46,8 @@ def _budget(args):
 # verbs of the group it runs, for a short start-up, and finds the group's
 # _run_<group> by name when it runs it, so that a test can patch a runner.
 _BUDGET = (
-    ("--max-n", {"type": int, "default": 4, "help": "breadth cap at infinite branching"}),
-    ("--max-depth", {"type": int, "default": 512, "help": "safety cap on path length"}),
+    ("--max-n", {"type": _int, "default": 4, "help": "breadth cap at infinite branching"}),
+    ("--max-depth", {"type": _int, "default": 512, "help": "safety cap on path length"}),
     ("--budget", {"help": 'JSON {"max_n": N, "max_depth": D}, overrides the flags'}),
 )
 _KIND = (("kind", {"choices": ("T", "Gamma")}), "xi")
@@ -51,7 +57,7 @@ _GROUPS = {
     "ord": ("ordinal arithmetic in Cantor normal form", {
         "add": ("a", "b"),
         "cmp": ("a", "b"),
-        "mul": ("a", ("n", {"type": int})),
+        "mul": ("a", ("n", {"type": _int})),
         "pow": ("a",),
         "quotrem": ("a", "g", ("--above", {
             "action": "store_true", "help": "remainder in (0, w^g] instead of [0, w^g)"})),
@@ -69,7 +75,7 @@ _GROUPS = {
             "nargs": "?", "default": "", "help": "empty for the virtual root"}),) + _BUDGET,
         "branches": _KIND + _BUDGET + (
             ("--sum", {"action": "store_true", "help": "append the branch weight sum column"}),
-            ("--limit", {"type": int, "help": "stop after this many branches"})),
+            ("--limit", {"type": _int, "help": "stop after this many branches"})),
         "truncate": _KIND + _BUDGET,
         "embed": ("xi", "gamma", "path"),
     }),

@@ -33,8 +33,8 @@ its family too, one at a limit on its component.  The intern table is
 bounded at 65,536 entries and cleared when full.
 Each family has one child rule each way.  ``_step`` gives a child's state
 from its parent's and its label; a point query folds it over its path, one
-label at a time, and each family's step keeps one bounded point-query cache
-(65,536 entries), as states recur across the paths queried.  ``_below``
+label at a time; ``_step`` keeps one cache (65,536 entries) per family kind,
+keyed by family, state and label, as states recur across queries.  ``_below``
 gives a node's children with their states; the walk that ``truncate`` and
 the branch enumerations share builds every node's state from its parent's
 with it, asks it once per distinct state, keeps its answers in a memo freed

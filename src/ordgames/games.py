@@ -227,11 +227,21 @@ class GameSpec(_Frozen):
         weights: Dict[NodePath, Fraction],
         payoff: Union[str, FrozenSet[History]],
     ):
-        if not len(tree) or not tree.validate():
+        # the node arena: id 0 is the virtual root, the other ids follow breadth-first
+        # in sorted label order, and reach every node iff the tree is prefix-closed
+        index = tree._child_index()
+        paths: List[NodePath] = [()]
+        kids: List[Dict[Ordinal, int]] = []
+        while len(kids) < len(paths):
+            path = paths[len(kids)]
+            found = index.get(path, ())
+            kids.append(dict(zip(found, range(len(paths), len(paths) + len(found)))))
+            paths.extend(path + (zeta,) for zeta in found)
+        if not len(tree) or len(paths) <= len(tree):
             raise ValueError("tree must be a non-empty valid B-tree")
         weights = {tuple(k): _rational(v) for k, v in weights.items()}
-        for node in tree.nodes:
-            w = weights.get(node)
+        node_weights = [weights.get(node) for node in paths[1:]]  # by node id, from 1
+        for node, w in zip(paths[1:], node_weights):
             if w is None:
                 raise ValueError(f"no weight for node {path_to_text(node)}")
             if not 0 <= w.numerator <= w.denominator:
@@ -243,25 +253,15 @@ class GameSpec(_Frozen):
             payoff = frozenset(tuple(tuple(m) for m in h) for h in payoff)
         self._set(tree=tree, model=model, weights=MappingProxyType(weights), payoff=payoff)
         gains, eps = model._gains, model.epsilon
-        dw = math.lcm(*(w.denominator for w in weights.values()))
+        dw = math.lcm(*(w.denominator for w in node_weights))
         dp = math.lcm(*(p.denominator for row in gains for _, ps in row for p, _ in ps or ()))
         scale = lambda p, d: p.numerator * (d // p.denominator)  # p * d, an int, without a Fraction
         int_peaks = tuple(
             tuple(None if ps is None else tuple(scale(p, dp) for p, _ in ps) for _, ps in row)
             for row in gains
         )
-        # the node arena: id 0 is the virtual root, the other ids follow
-        # breadth-first in sorted label order
-        index = tree._child_index()
-        paths: List[NodePath] = [()]
-        kids: List[Dict[Ordinal, int]] = []
-        while len(kids) < len(paths):
-            path = paths[len(kids)]
-            found = index.get(path, ())
-            kids.append(dict(zip(found, range(len(paths), len(paths) + len(found)))))
-            paths.extend(path + (zeta,) for zeta in found)
         self._set(_kids=tuple(kids), _int_peaks=int_peaks,
-                  _int_weights=(0,) + tuple(scale(weights[p], dw) for p in paths[1:]),
+                  _int_weights=(0,) + tuple(scale(w, dw) for w in node_weights),
                   _bar=-(-eps.numerator * dw * dp // eps.denominator),
                   _offer_table={}, _ids={}, _steps={}, _witness={}, _states=[], _wins=[])
         if payoff != PAYOFF_SZLENK and any(_leaf_moves(self, h) is None for h in payoff):
@@ -779,10 +779,7 @@ def game_to_json(game: GameSpec) -> dict:
     model = game.model
     data = {
         "tree": game.tree.to_json(),
-        "weights": {
-            path_to_text(node): _frac_text(game.weights[node])
-            for node in sorted(game.tree.nodes)
-        },
+        "weights": {path_to_text(node): _frac_text(w) for node, w in game.weights.items()},
         "model": {
             "dim": model.dim,
             "subspaces": [

@@ -58,6 +58,7 @@ class OrdinalError(ValueError):
 OrdinalLike = Union["Ordinal", int, str]
 
 _TOKEN = re.compile(r"\s*([0-9]+|[w^*+()])\s*")  # ASCII digits: \d takes any decimal digit
+_INT = re.compile(r"-?[0-9]+")  # an int argument of the CLI, read by the same digit rule
 
 # Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
 # parsing recurse once per level, so text nested much deeper would end in
@@ -167,21 +168,14 @@ class Ordinal(tuple):
     def __ne__(self, other) -> bool:
         return not self == other
 
-    def __lt__(self, other) -> bool:
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) < 0
+    def _order(results):  # the order method true when _cmp gives one of results
+        def method(self, other) -> bool:
+            other = _coerce(other)
+            return NotImplemented if other is None else self._cmp(other) in results
+        return method
 
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        return NotImplemented if other is None else self._cmp(other) >= 0
+    __lt__, __le__, __gt__, __ge__ = _order((-1,)), _order((-1, 0)), _order((1,)), _order((0, 1))
+    del _order
 
     # tuple's hash, in C: the hash of the term tuple, not stored
     __hash__ = tuple.__hash__

@@ -269,6 +269,41 @@ class TestFamily:
         assert "Traceback" not in result.stderr
 
 
+class TestIntArguments:
+    """Integer arguments take ASCII digits after an optional minus, as CNF
+    text does; any other form is a usage error that names the argument."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["ord", "mul", "w", "٣"], "n"),  # an Arabic-Indic digit
+            (["ord", "mul", "w", "1_0"], "n"),
+            (["ord", "mul", "w", " 2"], "n"),
+            (["ord", "mul", "w", "2 "], "n"),
+            (["ord", "mul", "w", "+2"], "n"),
+            (["ord", "mul", "w", ""], "n"),
+            (["family", "children", "T", "3", "--max-n", "٢"], "--max-n"),
+            (["family", "children", "T", "3", "--max-n", "２"], "--max-n"),  # a fullwidth digit
+            (["family", "truncate", "T", "3", "--max-depth", "1_0"], "--max-depth"),
+            (["family", "branches", "T", "2", "--limit", "٣"], "--limit"),
+            (["game", "build", "1", "m.json", "--max-n", "+3"], "--max-n"),
+        ],
+    )
+    def test_other_forms_are_usage_errors(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"error: argument {name}: invalid int value: {argv[-1]!r}")
+
+    def test_ascii_digits_and_a_minus(self, capsys):
+        assert run_cli(capsys, "ord", "mul", "w", "3") == (0, "w*3\n", "")
+        assert run_cli(capsys, "ord", "mul", "w", "03") == (0, "w*3\n", "")
+        assert run_cli(capsys, "family", "children", "T", "3", "--max-n", "2", "--max-depth", "9")[:2] == (0, "3\n")
+        assert_domain_error(run_cli(capsys, "ord", "mul", "w", "-1"))
+        assert_domain_error(run_cli(capsys, "family", "children", "T", "3", "--max-n", "-0"))
+
+
 class TestCbAndBound:
     def test_cb(self, capsys):
         assert run_cli(capsys, "cb", "step", "w^(w)")[1] == "w^(w)\n"
