@@ -54,7 +54,7 @@ from typing import (
 )
 
 from .btree import FiniteBTree, NodePath, _field, _Frozen, _frac_text, _json_object, path_to_text
-from .ordinal import Ordinal, _is_int
+from .ordinal import _INT, Ordinal, _is_int
 
 if TYPE_CHECKING:
     from .families import TruncationBudget
@@ -724,15 +724,14 @@ def _history_texts(part_text: Callable[[tuple], str]) -> Callable[[tuple], str]:
 
 
 def _read_move(text: str, form: str, label: Callable[[str], Ordinal]) -> tuple:
-    """``text`` read as ``form``, ``label:subspace:compact`` or ``label:subspace``;
-    else a ValueError naming both, but a bad label keeps its OrdinalError."""
+    """``text`` read as ``form``, ``label:subspace:compact`` or ``label:subspace``,
+    its indices in ASCII digits with an optional minus, as the CLI's integer
+    arguments; else a ValueError naming both, but a bad label keeps its OrdinalError."""
     fields = text.split(":")
     if len(fields) == form.count(":") + 1:
         zeta = label(fields[0])
-        try:
+        if all(map(_INT.fullmatch, fields[1:])):
             return (zeta, *map(int, fields[1:]))
-        except ValueError:
-            pass
     raise ValueError(f"{text!r} is not of the form {form}")
 
 

@@ -58,7 +58,7 @@ class OrdinalError(ValueError):
 OrdinalLike = Union["Ordinal", int, str]
 
 _TOKEN = re.compile(r"\s*([0-9]+|[w^*+()])\s*")  # ASCII digits: \d takes any decimal digit
-_INT = re.compile(r"-?[0-9]+")  # an int argument of the CLI, read by the same digit rule
+_INT = re.compile(r"-?[0-9]+")  # a CLI int argument or a move text's index, by the same digit rule
 
 # Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
 # parsing recurse once per level, so text nested much deeper would end in

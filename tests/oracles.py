@@ -10,6 +10,7 @@ library output against these.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from random import Random
 
@@ -529,10 +530,9 @@ def reference_history_from_text(text: str):
         if len(fields) != 3:
             raise bad
         zeta = Ordinal(fields[0])
-        try:
-            moves.append((zeta, int(fields[1]), int(fields[2])))
-        except ValueError:
-            raise bad from None
+        if not all(re.fullmatch(r"-?[0-9]+", field) for field in fields[1:]):
+            raise bad
+        moves.append((zeta, int(fields[1]), int(fields[2])))
     return tuple(moves)
 
 

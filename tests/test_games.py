@@ -1073,19 +1073,32 @@ class TestJsonRoundTrip:
 
 class TestCollidingKeys:
     """Two JSON key texts that read as one node path or one strategy key are
-    a ValueError naming both, in either order; a dict would keep the later."""
+    a ValueError naming both, in either order; a dict would keep the later.
+    Labels have many texts, indices one: a key whose index is not ASCII
+    digits (``+0``, `` 0``, ``0_0``) is no twin of the key with ``0`` but
+    malformed, and rejected as such before or after it."""
+
+    MALFORMED = {
+        "|1:+0": "'1:+0' is not of the form label:subspace",
+        "|1: 0": "'1: 0' is not of the form label:subspace",
+        "|1:0_0": "'1:0_0' is not of the form label:subspace",
+        "2:0:+0|1:1": "'2:0:+0' is not of the form label:subspace:compact",
+        "3:1:+0": "'3:1:+0' is not of the form label:subspace:compact",
+        "3:1:0;2:1: 0": "'2:1: 0' is not of the form label:subspace:compact",
+    }
 
     @staticmethod
     def game(eps, max_n):
         return build_szlenk_game(ONE, TruncationBudget(max_n=max_n), ModelSpace(**W_SZLENK, epsilon=eps))
 
-    @staticmethod
-    def rejected(reader, data, field, key, twin, first):
+    @classmethod
+    def rejected(cls, reader, data, field, key, twin, first):
         # ``key`` joins ``data[field]`` with ``twin``'s value, before or after it
         items = data[field]
         data[field] = {key: items[twin], **items} if first else {**items, key: items[twin]}
         texts = (key, twin) if first else (twin, key)
-        with pytest.raises(ValueError, match=re.escape(f"{texts[0]!r} and {texts[1]!r}")):
+        message = cls.MALFORMED.get(key, f"{texts[0]!r} and {texts[1]!r} read as the same key")
+        with pytest.raises(ValueError, match=re.escape(message)):
             reader(data)
 
     @pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
@@ -1159,6 +1172,14 @@ class TestTextBoundary:
     @given(_HISTORY_TEXTS)
     def test_history_from_text_matches_reference(self, text):
         assert _outcome(history_from_text, text) == _outcome(reference_history_from_text, text)
+
+    @pytest.mark.parametrize("part", ["1:\u0660:\u0660", "1:+0:0", "1: 0:0", "1:0_0:0", "1:0:0 ", "1:0:\uff10"])
+    def test_indices_are_ascii_digits(self, part):
+        # as the CLI reads its integer arguments: an optional minus, then 0-9
+        for text in (part, f"2:1:0;{part}"):
+            message = f"{part!r} is not of the form label:subspace:compact"
+            assert _outcome(history_from_text, text) == _outcome(reference_history_from_text, text) == (ValueError, message)
+        assert history_from_text("1:10:0;2:-1:007") == ((ONE, 10, 0), (Ordinal(2), -1, 7))
 
     @pytest.mark.parametrize("entry", ["1:0", "1:x:0", "x:0:0", "1:0:0;", "1:0:0:0"])
     def test_table_entry_errors_match_reference(self, entry):
