@@ -32,13 +32,20 @@ are compared and hashed by identity; one at a successor index is keyed on
 its family too, one at a limit on its component.  The intern table is
 bounded at 65,536 entries and cleared when full.
 Each family has one child rule each way.  ``_step`` gives a child's state
-from its parent's and its label; a point query folds it over its path, one
-label at a time; ``_step`` keeps one cache (65,536 entries) per family kind,
-keyed by family, state and label, as states recur across queries.  ``_below``
-gives a node's children with their states; the walk that ``truncate`` and
-the branch enumerations share builds every node's state from its parent's
-with it, asks it once per distinct state, keeps its answers in a memo freed
-when the walk ends, and leaves the step caches alone.
+from its parent's and its label.  A point query folds it over its path
+through the step tables, as states recur across queries: a state's table
+maps each label asked of it to an entry, the child's state (None for no
+member) and the child's own table, so a label costs one dict lookup.  A
+table is keyed by its state, which fixes it in every family (a Gamma
+reading by identity), and a family's root table by the family; ``_step``
+runs only on a miss and reads the index level below through the same
+tables.  The tables hold at most 131,072 entries in all, a table counting
+as one, and are cleared when full; a query that holds a table from before
+a clear reads on through it.  ``_below`` gives a node's children with their
+states; the walk that ``truncate`` and the branch enumerations share builds
+every node's state from its parent's with it, asks it once per distinct
+state, keeps its answers in a memo freed when the walk ends, and leaves the
+step tables alone.
 """
 
 from __future__ import annotations
@@ -98,6 +105,32 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
     return delta + omega_pow(_fundamental(beta, k))
 
 
+# the step tables: a state's, or for the root its family's, {label: (child
+# state, child's table)}; bounded, and cleared when full as the intern table
+# is, which costs only re-reading
+_TABLES: Dict[object, dict] = {}
+_TABLES_MAX = 1 << 17  # entries over all families, a table counting as one
+_tables_size = 0
+
+
+def _grown() -> None:
+    """Count one more entry or table, after a clear if the tables are full."""
+    global _tables_size
+    if _tables_size >= _TABLES_MAX:
+        _TABLES.clear()
+        _tables_size = 0
+    _tables_size += 1
+
+
+def _table(key) -> dict:
+    """The step table of ``key``, a state or a family's root; made on first use."""
+    table = _TABLES.get(key)
+    if table is None:
+        _grown()
+        table = _TABLES[key] = {}
+    return table
+
+
 class _Family:
     """Shared validation and enumeration.
 
@@ -107,9 +140,10 @@ class _Family:
     (label, state) pairs one step below a node, ``_step(state, label)`` runs
     it backwards (the state of the child ``label``, None where it is no
     member), and ``_leaf(state)`` says whether a member is maximal.  The public
-    queries fold ``_step`` over their path; the walk carries every node's
-    state down from its parent's, so it reads no path, and asks ``_below``
-    once per distinct state.
+    queries fold ``_step`` over their path through the step tables, one
+    lookup per label, and ``_step`` runs only on a table miss; the walk
+    carries every node's state down from its parent's, so it reads no path,
+    and asks ``_below`` once per distinct state.
     """
 
     kind: str
@@ -123,18 +157,26 @@ class _Family:
     def _read(self, path: NodePath) -> list:
         """The states of the nonempty prefixes of ``path``; [] for a non-member.
         A label that is no ``Ordinal`` is read by ``Ordinal`` first: 1, 1.0 and True hash alike."""
-        states, state = [], None
+        states, state, table = [], None, _TABLES.get(self) or _table(self)
         for label in path:
             if type(label) is not Ordinal:
                 try:
                     label = Ordinal(label)
                 except OrdinalError:
                     return []
-            state = self._step(state, label)
+            state, table = table.get(label) or self._learn(table, state, label)
             if state is None:
                 return []
             states.append(state)
         return states
+
+    def _learn(self, table: dict, state, label: Ordinal) -> tuple:
+        """Step ``state`` by ``label`` and keep the entry in ``table``, the state's table."""
+        child = self._step(state, label)
+        entry = (None, None) if child is None else (child, _table(child))
+        _grown()
+        table[label] = entry
+        return entry
 
     def _states(self, path: NodePath) -> list:
         states = self._read(path)
@@ -194,7 +236,6 @@ class TFamily(_Family):
 
     kind = "T"
 
-    @lru_cache(maxsize=1 << 16)
     def _step(self, above: Optional[Ordinal], label: Ordinal) -> Optional[Ordinal]:
         xi = self.xi if above is None else above.pred()
         return label if label.is_successor and (label == xi or (xi.is_limit and label < xi)) else None
@@ -255,8 +296,6 @@ class GammaFamily(_Family):
             return r
         return _from_cnf(((self._sigma, q + r[0][1]), *r[1:]) if r[0][0] == self._sigma else ((self._sigma, q), *r))
 
-    # bounded, as T's step cache: readings recur across the paths queried
-    @lru_cache(maxsize=1 << 16)
     def _step(self, reading: Optional[_Reading], label: Ordinal) -> Optional[_Reading]:
         xi = self.xi
         if xi.is_zero or not label:  # 0 or a failed strip's None is no label; 1 is Gamma_0's
@@ -273,7 +312,11 @@ class GammaFamily(_Family):
                     block, q_last = None, q_last - 1
                 if q != q_last:
                     return None
-            block = self._down._step(block, r)
+            # one level down through the step tables, as ``_read`` reads a
+            # label; inline, so that a miss takes two frames per index level
+            down = self._down
+            table = _table(down if block is None else block)
+            block = (table.get(r) or down._learn(table, block, r))[0]
             return None if block is None else _in_block(self, q, block, n)
         if reading is not None:
             component, stripped = reading.inner
@@ -283,7 +326,8 @@ class GammaFamily(_Family):
             # Gamma at zeta + 1 has its labels in [1, omega^(zeta + 1)), so
             # shifting them by omega^zeta keeps the leading exponent zeta
             component, stripped = gamma_family(label[0][0] + 1), None
-        stripped = component._step(stripped, component._strip(label))
+        table, label = _table(component if stripped is None else stripped), component._strip(label)
+        stripped = (table.get(label) or component._learn(table, stripped, label))[0]
         return None if stripped is None else _in_component(component, stripped)
 
     def _below(self, reading: Optional[_Reading], budget: TruncationBudget) -> List[Tuple[Ordinal, _Reading]]:
@@ -385,7 +429,7 @@ _GAMMA_0 = _Reading(True, 1, ())  # the one reading at index 0, never interned
 
 # one reading per key, which fixes the reading and holds interned readings,
 # so that its hash is shallow; a reading is made only on a miss.  Bounded as
-# the step caches are, cleared when full: that costs only re-reading, as no
+# the step tables are, cleared when full: that costs only re-reading, as no
 # answer depends on which reading is which object
 _READINGS: Dict[tuple, _Reading] = {}
 _READINGS_MAX = 1 << 16

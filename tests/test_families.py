@@ -15,8 +15,6 @@ from oracles import gamma1_members, gamma2_members_from_display, gamma_members, 
 from ordgames import families
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
-    GammaFamily,
-    TFamily,
     TruncationBudget,
     gamma_family,
     make_family,
@@ -323,13 +321,13 @@ class TestWalk:
     @given(walks())
     def test_leaves_the_point_query_cache_alone(self, walk):
         family, budget = walk
-        before = GammaFamily._step.cache_info(), TFamily._step.cache_info()
+        before = _tables_state()
         family.truncate(budget)
         list(family.maximal_branches(budget))
         if family.kind == "Gamma":
             family.node_weights(budget)
             list(family.weighted_branches(budget))
-        assert (GammaFamily._step.cache_info(), TFamily._step.cache_info()) == before
+        assert _tables_state() == before
 
     @pytest.mark.parametrize(
         "family, nodes, calls",
@@ -690,15 +688,14 @@ class TestTermReadings:
 
 class TestLabelsReadAsOrdinals:
     """A path's labels are read as ``Ordinal`` reads them before they meet
-    the step caches: ints and CNF text name the same ordinals on every
+    the step tables: ints and CNF text name the same ordinals on every
     family, a label ``Ordinal`` cannot read is no member, and no answer
     depends on an earlier query."""
 
     @pytest.mark.parametrize("family, label, unreadable", [(G2, 2, 2.0), (G1, 1, True), (t_family(ONE), 1, 1.0)])
     @pytest.mark.parametrize("readable_first", [True, False])
     def test_answers_do_not_depend_on_the_query_order(self, family, label, unreadable, readable_first):
-        GammaFamily._step.cache_clear()
-        TFamily._step.cache_clear()
+        _forget_readings()
         if readable_first:
             assert family.member((label,)) and not family.member((unreadable,))
         else:  # (label,) == (unreadable,), so a cache keyed by raw labels answered False here
@@ -721,10 +718,20 @@ class TestLabelsReadAsOrdinals:
 
 
 def _forget_readings():
-    """Empty the intern table and the step caches, which hold readings too."""
+    """Empty the intern table and the step tables, which hold readings too."""
     families._READINGS.clear()
-    GammaFamily._step.cache_clear()
-    TFamily._step.cache_clear()
+    families._TABLES.clear()
+    families._tables_size = 0
+
+
+def _tables_state():
+    """The step tables' count and every table's labels, by key."""
+    return families._tables_size, {key: list(table) for key, table in families._TABLES.items()}
+
+
+def _tables_size():
+    """The entries and tables that the step tables hold now."""
+    return len(families._TABLES) + sum(map(len, families._TABLES.values()))
 
 
 # Gamma at finite, limit and successor-of-limit indices, with the max_n of
@@ -750,15 +757,59 @@ def _rank_by_levels(family, reading):
     return rank
 
 
+# T and Gamma at finite, successor, limit and successor-of-limit indices,
+# with the max_n of the walks whose nodes are queried, and labels that no
+# walk below reaches at its position
+FOLD_CASES = [(t_family(Ordinal(xi)), n) for xi, n in (("3", 2), ("w", 3), ("w+1", 3), ("w*2+3", 3), ("w^2", 2))] + READ_CASES
+FOLD_LABELS = [Ordinal(text) for text in ("0", "1", "2", "w", "w+1", "w^2", "w^2+2", "w^(w)", "w^(w)+2", "w^(w+1)*3")]
+
+
+def _draw_paths(data, case):
+    """A walked member of ``case``'s family, and paths that share a prefix of
+    it (none, at times) and go on by labels of its walk or of FOLD_LABELS."""
+    family, n = case
+    nodes = _read_nodes(family, n)
+    labels = sorted({label for path in nodes for label in path} | set(FOLD_LABELS))
+    node = data.draw(st.sampled_from(nodes))
+    cut = data.draw(st.integers(0, len(node)))
+    tails = st.lists(st.sampled_from(labels), max_size=2).map(tuple)
+    return [node] + [node[:cut] + tail for tail in data.draw(st.lists(tails, min_size=1, max_size=4))]
+
+
+def _uncached_read(family, path):
+    """``_Family._read`` folding ``_step`` with no step table."""
+    states, state = [], None
+    for label in path:
+        state = family._step(state, label)
+        if state is None:
+            return []
+        states.append(state)
+    return states
+
+
+def _point_answers(family, path):
+    """None for a non-member, whose other point queries raise; else its
+    maximality, rank, and weight in Gamma."""
+    if not family.member(path):
+        queries = [family.is_maximal, family.rank] + ([family.weight] if family.kind == "Gamma" else [])
+        for query in queries:
+            with pytest.raises(ValueError, match="is not a member"):
+                query(path)
+        return None
+    return family.is_maximal(path), family.rank(path), family.weight(path) if family.kind == "Gamma" else None
+
+
 class TestInternedReadings:
     """A Gamma reading is interned: one object per reading, compared and
     hashed by identity, in a table bounded by ``_READINGS_MAX`` and cleared
-    when full.  No answer depends on which reading is which object."""
+    when full.  The step tables are bounded by ``_TABLES_MAX`` and cleared
+    when full too.  No answer depends on which reading is which object, nor
+    on what the step tables hold."""
 
     @pytest.fixture(autouse=True)
     def fresh_tables(self):
-        # a clear leaves the step caches holding readings the table has
-        # forgotten; start and leave every test with neither
+        # a clear leaves the step tables holding readings the intern table
+        # has forgotten; start and leave every test with neither
         _forget_readings()
         yield
         _forget_readings()
@@ -808,8 +859,7 @@ class TestInternedReadings:
                     family.rank(path), family.weight(path), family.children(path, B(n)))
 
         before = [answers(path) for path in nodes]
-        families._READINGS.clear()
-        GammaFamily._step.cache_clear()
+        _forget_readings()
         assert [answers(path) for path in reversed(nodes)][::-1] == before
         assert not any(member for _, member, *_ in before)
 
@@ -872,6 +922,78 @@ class TestInternedReadings:
         for reading, fams in shared.items():
             assert len({tuple(label for label, _ in family._below(reading, B(2))) for family in fams}) == 1
             assert {_rank_by_levels(family, reading) for family in fams} == {reading.rank}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(FOLD_CASES), st.sampled_from(["cold", "warm", "bound 8"]), st.data())
+    def test_the_tables_answer_as_the_uncached_step(self, case, tables, data):
+        family, n = case
+        paths = _draw_paths(data, case)
+        before = _tables_state()
+        with pytest.MonkeyPatch.context() as patch:
+            # every table a fresh one, that nothing keeps: each label, at
+            # every index level, is stepped by ``_step``
+            patch.setattr(families._Family, "_read", _uncached_read)
+            patch.setattr(families, "_table", lambda key: {})
+            patch.setattr(families, "_grown", lambda: None)
+            expected = [_point_answers(family, path) for path in paths]
+        assert _tables_state() == before and expected[0] is not None
+        with pytest.MonkeyPatch.context() as patch:
+            if tables == "warm":  # by another family's queries, then by these
+                other = data.draw(st.sampled_from(FOLD_CASES))
+                for warm_family, warm_paths in ((other[0], _draw_paths(data, other)), (family, paths)):
+                    for path in warm_paths:
+                        _point_answers(warm_family, path)
+            else:
+                _forget_readings()
+            if tables == "bound 8":
+                patch.setattr(families, "_TABLES_MAX", 8)
+            for path, answer in zip(paths, expected):
+                assert _point_answers(family, path) == answer, path
+                assert tables != "bound 8" or _tables_size() <= 8
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+    def test_each_family_keeps_its_own_root_tables(self, order):
+        # two roots one index level down, and two components, that are asked
+        # the same label 2: it is maximal below the first of each pair only
+        queries = [
+            (gamma_family(OMEGA + 1), "2", (True, ZERO, Fraction(1))),
+            (gamma_family(Ordinal(3)), "2", (False, ONE, Fraction(1, 2))),
+            (gamma_family(OMEGA * 2), "w^(w)+2", (True, ZERO, Fraction(1))),
+            (gamma_family(OMEGA * 2), "w^(2)+2", (False, ONE, Fraction(1, 2))),
+        ]
+        for family, text, answer in queries[::order]:
+            assert _point_answers(family, P(text)) == answer, (family, text)
+
+    def test_a_deep_index_answers_from_cold_tables(self):
+        # a miss steps each index level below it in two frames, as the step
+        # caches did, so Gamma_400 answers within the default recursion limit
+        family = gamma_family(Ordinal(400))
+        assert _point_answers(family, P("1")) == (True, ZERO, Fraction(1))
+        assert _point_answers(family, P("w^(399)+1,2")) == (False, ONE, Fraction(1, 4))
+        assert _point_answers(family, P("w^(399)+1,w^(399)")) is None
+
+    def test_a_query_reads_on_across_a_clear(self, monkeypatch):
+        # the 8-label member of Gamma_(w*2) that the big-family CI smoke
+        # queries, under a bound that clears the tables within each query
+        family = gamma_family(OMEGA * 2)
+        path = P("w^(w+1)*2+w^(w)+w*2+2,w^(w+1)*2+w^(w)+w*2+1,w^(w+1)*2+w^(w)+w+2,w^(w+1)*2+w^(w)+w+1,"
+                 "w^(w+1)*2+w*2+2,w^(w+1)*2+w*2+1,w^(w+1)*2+w+2,w^(w+1)*2+w+1")
+        expected = _point_answers(family, path)
+        assert expected == (False, Ordinal("w^(w+1)"), Fraction(1, 16))
+        clears = []
+
+        class Tables(dict):
+            def clear(self):
+                clears.append(len(self))
+                super().clear()
+
+        _forget_readings()
+        monkeypatch.setattr(families, "_TABLES", Tables())
+        monkeypatch.setattr(families, "_TABLES_MAX", 8)
+        for _ in range(3):
+            assert _point_answers(family, path) == expected and family.member(path + path[-1:]) is False
+            assert _tables_size() <= 8
+        assert len(clears) > 3
 
 
 class TestEmbedding:
