@@ -9,12 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import ordinals
 from oracles import gamma1_members, gamma2_members_from_display, gamma_members, reference_walk, t_members
 from ordgames import families
 from ordgames.btree import FiniteBTree, path_from_text, verify_monotone_map
 from ordgames.families import (
+    TFamily,
     TruncationBudget,
     gamma_family,
     make_family,
@@ -734,6 +736,17 @@ def _tables_size():
     return len(families._TABLES) + sum(map(len, families._TABLES.values()))
 
 
+def _bound_memo(patch, bound):
+    """Bound the intern table and the step tables at ``bound`` each."""
+    patch.setattr(families, "_READINGS_MAX", bound)
+    patch.setattr(families, "_TABLES_MAX", bound)
+
+
+def _memo_within_bound():
+    """Whether the intern table and the step tables hold no more than their bounds."""
+    return len(families._READINGS) <= families._READINGS_MAX and _tables_size() <= families._tables_size <= families._TABLES_MAX
+
+
 # Gamma at finite, limit and successor-of-limit indices, with the max_n of
 # the walks whose nodes are queried
 READ_CASES = [(gamma_family(Ordinal(xi)), n) for xi, n in (("1", 4), ("2", 3), ("w", 2), ("w+1", 2), ("w*2", 2))]
@@ -994,6 +1007,116 @@ class TestInternedReadings:
             assert _point_answers(family, path) == expected and family.member(path + path[-1:]) is False
             assert _tables_size() <= 8
         assert len(clears) > 3
+
+
+# T and Gamma at finite, successor, limit and successor-of-limit indices:
+# (kind, xi, max_n, max_len), the oracle's caps and the walks' budget
+MEMO_CASES = [
+    ("T", "4", 3, 4), ("T", "w+2", 3, 4), ("T", "w^2", 3, 4), ("T", "w*2", 2, 4), ("T", "w^(w)+1", 2, 4),
+    ("Gamma", "2", 3, 4), ("Gamma", "3", 2, 4), ("Gamma", "w", 2, 4), ("Gamma", "w+1", 2, 4), ("Gamma", "w*2", 2, 3),
+]
+T_EXTRA_LABELS = [Ordinal(text) for text in ("0", "1", "2", "5", "w", "w+1", "w^2+2", "w^(w)+2")]
+
+
+@functools.lru_cache(maxsize=None)
+def _memo_oracle(case):
+    """The budget of ``case``, its oracle's members with their answers, and
+    the labels its paths are drawn from: over these, a path of at most
+    max_len labels is a member exactly when the oracle built it."""
+    kind, xi, max_n, max_len = case
+    xi, budget = Ordinal(xi), B(max_n, max_depth=max_len)
+    if kind == "Gamma":
+        built = gamma_members(xi, max_n, max_len)
+        labels = {label for path in built for label in path} | {ZERO}
+    else:
+        # the walk's labels and a few others; t_members builds every member over them
+        labels = {label for path in TFamily(xi).truncate(budget).nodes for label in path} | set(T_EXTRA_LABELS)
+        built = t_members(xi, sorted(labels), max_len)
+    return budget, built, sorted(labels)
+
+
+class MemoMachine(RuleBasedStateMachine):
+    """Point queries and walks on T and Gamma, on families held from the
+    start or named afresh, mixed with clears of the memo and bounds as low as
+    one: every answer is the cache-free oracle's, and the memo never holds
+    more than its bound."""
+
+    def __init__(self):
+        super().__init__()
+        self.patch = pytest.MonkeyPatch()
+        self.held = {case: make_family(case[0], Ordinal(case[1])) for case in MEMO_CASES}
+
+    def teardown(self):
+        self.patch.undo()
+        _forget_readings()
+
+    def family(self, case, fresh):
+        return make_family(case[0], Ordinal(case[1])) if fresh else self.held[case]
+
+    @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans(), data=st.data())
+    def query(self, case, fresh, data):
+        family, (budget, built, labels) = self.family(case, fresh), _memo_oracle(case)
+        if data.draw(st.booleans()):
+            path = data.draw(st.sampled_from(sorted(built)))
+            path = path[: data.draw(st.integers(0, len(path)))]
+        else:
+            path = ()
+        tail = data.draw(st.lists(st.sampled_from(labels), max_size=case[3] - len(path)))
+        path += tuple(tail)
+        kind = data.draw(st.sampled_from(["member", "is_maximal", "rank", "children"] + ["weight"] * (case[0] == "Gamma")))
+        if kind == "member":
+            assert family.member(path) is (path in built), path
+        elif path not in built and (path or kind != "children"):
+            with pytest.raises(ValueError, match="is not a member"):
+                getattr(family, kind)(path) if kind != "children" else family.children(path, budget)
+        elif kind == "children":
+            below = family.children(path, budget)
+            rank = built[path][0] if path else Ordinal(case[1])
+            if case[0] == "Gamma":
+                if len(path) < case[3]:
+                    assert below == sorted(p[-1] for p in built if p[:-1] == path), path
+            elif rank.is_limit:
+                assert len(below) == budget.max_n and below == sorted(set(below))
+                assert all(mu.is_successor and mu < rank for mu in below)
+            else:
+                assert below == ([rank] if rank.is_successor else [])
+        else:
+            rank, maximal = built[path][:2]
+            expected = {"is_maximal": maximal, "rank": rank, "weight": built[path][2][-1] if kind == "weight" else None}
+            assert getattr(family, kind)(path) == expected[kind], path
+
+    @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans())
+    def walk(self, case, fresh):
+        family, (budget, built, _) = self.family(case, fresh), _memo_oracle(case)
+        nodes = family.truncate(budget).nodes
+        if case[0] == "Gamma":
+            assert nodes == set(built)
+            branches = list(family.weighted_branches(budget))
+            assert dict(branches) == {path: answer[2] for path, answer in built.items() if answer[1]}
+            assert len(branches) == len(dict(branches))
+        else:
+            # T's walk takes the first max_n successors below a limit, which
+            # the oracle has among others; each is a member over its labels
+            assert nodes <= set(built)
+            branches = list(family.maximal_branches(budget))
+            assert sorted(branches) == sorted(path for path in nodes if built[path][1])
+
+    @rule()
+    def clear(self):
+        _forget_readings()
+
+    @rule(bound=st.sampled_from([1, 2, 3, 8, 64]))
+    def bound(self, bound):
+        _forget_readings()
+        _bound_memo(self.patch, bound)
+
+    @invariant()
+    def within_the_bound(self):
+        assert _memo_within_bound()
+
+
+TestMemoMachine = MemoMachine.TestCase
+TestMemoMachine.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
 
 
 class TestEmbedding:
