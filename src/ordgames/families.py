@@ -29,8 +29,7 @@ maximality, rank, weight and what the labels one step below it need; state
 None is the virtual root; a state fixes the labelled subtree below it, in
 every family.  Gamma readings are interned, one object per reading, so they
 are compared and hashed by identity; one at a successor index is keyed on
-its family too, one at a limit on its component.  The intern table is
-bounded at 65,536 entries and cleared when full.
+its family too, one at a limit on its component.
 Each family has one child rule each way.  ``_step`` gives a child's state
 from its parent's and its label.  A point query folds it over its path
 through the step tables, as states recur across queries: a state's table
@@ -39,19 +38,21 @@ member) and the child's own table, so a label costs one dict lookup.  A
 table is keyed by its state, which fixes it in every family (a Gamma
 reading by identity), and a family's root table by the family; ``_step``
 runs only on a miss and reads the index level below through the same
-tables.  The tables hold at most 131,072 entries in all, a table counting
-as one, and are cleared when full; a query that holds a table from before
-a clear reads on through it.  ``_below`` gives a node's children with their
-states; the walk that ``truncate`` and the branch enumerations share builds
-every node's state from its parent's with it, asks it once per distinct
-state, keeps its answers in a memo freed when the walk ends, and leaves the
-step tables alone.
+tables.  ``_below`` gives a node's children with their states; the walk
+that ``truncate`` and the branch enumerations share builds every node's
+state from its parent's with it, asks it once per distinct state, keeps its
+answers in a memo freed when the walk ends, and adds no step table.
+The families, the interned readings and the step tables share one memo of
+at most 131,072 items, a table entry counting as one, cleared when full:
+that costs only re-reading, as no answer depends on which object is which.
+A query that holds a table from before a clear reads on through it, and
+``t_family(xi) is t_family(xi)`` holds only while the memo keeps the family.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .btree import FiniteBTree, NodePath, _field, _Frozen, _json_object, path_to_text
@@ -105,30 +106,36 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
     return delta + omega_pow(_fundamental(beta, k))
 
 
-# the step tables: a state's, or for the root its family's, {label: (child
-# state, child's table)}; bounded, and cleared when full as the intern table
-# is, which costs only re-reading
-_TABLES: Dict[object, dict] = {}
-_TABLES_MAX = 1 << 17  # entries over all families, a table counting as one
-_tables_size = 0
+# the one memo: each family by (kind, xi), each interned Gamma reading by its
+# key, each step table {label: (child state, child's table)} by its state or a
+# root's by its family.  No two kinds of key compare equal: a (kind, xi) key
+# starts with a string, a reading's with a family and a T state, an Ordinal,
+# with an (exponent, coefficient) pair; families and readings hash by identity
+_MEMO: dict = {}
+_MEMO_MAX = 1 << 17  # families, readings, tables and table entries, each counting as one
+_memo_size = 0
 
 
 def _grown() -> None:
-    """Count one more entry or table, after a clear if the tables are full."""
-    global _tables_size
-    if _tables_size >= _TABLES_MAX:
-        _TABLES.clear()
-        _tables_size = 0
-    _tables_size += 1
+    """Count one more family, reading, table or entry, after a clear if the memo is full."""
+    global _memo_size
+    if _memo_size >= _MEMO_MAX:
+        _MEMO.clear()
+        _memo_size = 0
+    _memo_size += 1
+
+
+def _kept(key, value):
+    """Keep ``value`` in the memo under ``key``, counted."""
+    _grown()
+    _MEMO[key] = value
+    return value
 
 
 def _table(key) -> dict:
     """The step table of ``key``, a state or a family's root; made on first use."""
-    table = _TABLES.get(key)
-    if table is None:
-        _grown()
-        table = _TABLES[key] = {}
-    return table
+    table = _MEMO.get(key)
+    return _kept(key, {}) if table is None else table
 
 
 class _Family:
@@ -157,7 +164,7 @@ class _Family:
     def _read(self, path: NodePath) -> list:
         """The states of the nonempty prefixes of ``path``; [] for a non-member.
         A label that is no ``Ordinal`` is read by ``Ordinal`` first: 1, 1.0 and True hash alike."""
-        states, state, table = [], None, _TABLES.get(self) or _table(self)
+        states, state, table = [], None, _MEMO.get(self) or _table(self)
         for label in path:
             if type(label) is not Ordinal:
                 try:
@@ -427,25 +434,12 @@ class _Reading:
 
 _GAMMA_0 = _Reading(True, 1, ())  # the one reading at index 0, never interned
 
-# one reading per key, which fixes the reading and holds interned readings,
-# so that its hash is shallow; a reading is made only on a miss.  Bounded as
-# the step tables are, cleared when full: that costs only re-reading, as no
-# answer depends on which reading is which object
-_READINGS: Dict[tuple, _Reading] = {}
-_READINGS_MAX = 1 << 16
-
-
-def _interned(key: tuple, reading: _Reading) -> _Reading:
-    if len(_READINGS) >= _READINGS_MAX:
-        _READINGS.clear()
-    _READINGS[key] = reading
-    return reading
-
-
+# a reading's key fixes it and holds interned readings, so that its hash is
+# shallow; a reading is made only on a miss
 def _in_block(family: GammaFamily, q: int, block: _Reading, n: int) -> _Reading:
     """The reading of a node of block q, parameter n, of the successor ``family``, whose block reads ``block``."""
     key = (family, q, block, n)
-    return _READINGS.get(key) or _interned(key, _Reading(
+    return _MEMO.get(key) or _kept(key, _Reading(
         q == 0 and block.maximal, block.denominator * n, key[1:],
         _from_cnf(((family._sigma, q), *block.rank)) if q else block.rank))
 
@@ -453,27 +447,23 @@ def _in_block(family: GammaFamily, q: int, block: _Reading, n: int) -> _Reading:
 def _in_component(component: GammaFamily, stripped: _Reading) -> _Reading:
     """The reading at a limit of a node of ``component``."""
     key = (component, stripped)
-    return _READINGS.get(key) or _interned(key, _Reading(stripped.maximal, stripped.denominator, key, stripped.rank))
+    return _MEMO.get(key) or _kept(key, _Reading(stripped.maximal, stripped.denominator, key, stripped.rank))
 
 
-@lru_cache(maxsize=None)
 def t_family(xi: Ordinal) -> TFamily:
-    return TFamily(Ordinal(xi))
+    return make_family("T", xi)
 
 
-# bounded: a point query at a limit index makes the family of the component
-# it reads, and the components of the paths queried are without limit
-@lru_cache(maxsize=1 << 12)
 def gamma_family(xi: Ordinal) -> GammaFamily:
-    return GammaFamily(Ordinal(xi))
+    return make_family("Gamma", xi)
 
 
 def make_family(kind: str, xi: Ordinal) -> _Family:
-    if kind == "T":
-        return t_family(Ordinal(xi))
-    if kind == "Gamma":
-        return gamma_family(Ordinal(xi))
-    raise ValueError(f"unknown family kind {kind!r}")
+    """The family of ``kind`` at ``xi``, one object while the memo keeps it."""
+    if kind not in ("T", "Gamma"):  # by ==, so that an unhashable kind is refused too
+        raise ValueError(f"unknown family kind {kind!r}")
+    key = (kind, Ordinal(xi))
+    return _MEMO.get(key) or _kept(key, (TFamily if kind == "T" else GammaFamily)(key[1]))
 
 
 def family_from_json(data: Union[dict, str]) -> _Family:

@@ -66,8 +66,9 @@ class TestBudget:
     def test_make_family(self):
         assert make_family("T", Ordinal(2)).member(P("2,1"))
         assert make_family("Gamma", ZERO).member(P("1"))
-        with pytest.raises(ValueError):
-            make_family("X", ZERO)
+        for kind in ("X", ["T"], None):
+            with pytest.raises(ValueError, match="unknown family kind"):
+                make_family(kind, ZERO)
 
     def test_json_descriptors(self):
         from ordgames.families import budget_from_json, family_from_json, family_to_json
@@ -321,9 +322,16 @@ class TestWalk:
 
     @settings(max_examples=20, deadline=None)
     @given(walks())
-    def test_leaves_the_point_query_cache_alone(self, walk):
+    def test_adds_no_step_table_or_entry(self, walk):
+        # a walk may intern readings and name families in the memo, but no
+        # step table; start from an empty memo, so that no clear can fall
+        # within the walks, and give the tables some labels to keep
         family, budget = walk
+        _forget_readings()
+        for path, _ in itertools.islice(family._walk(budget), 5):
+            family.member(path + path[-1:])
         before = _tables_state()
+        assert before
         family.truncate(budget)
         list(family.maximal_branches(budget))
         if family.kind == "Gamma":
@@ -720,31 +728,29 @@ class TestLabelsReadAsOrdinals:
 
 
 def _forget_readings():
-    """Empty the intern table and the step tables, which hold readings too."""
-    families._READINGS.clear()
-    families._TABLES.clear()
-    families._tables_size = 0
+    """Empty the memo: its families, interned readings and step tables."""
+    families._MEMO.clear()
+    families._memo_size = 0
 
 
 def _tables_state():
-    """The step tables' count and every table's labels, by key."""
-    return families._tables_size, {key: list(table) for key, table in families._TABLES.items()}
+    """Every step table's labels, by key."""
+    return {key: list(table) for key, table in families._MEMO.items() if type(table) is dict}
 
 
-def _tables_size():
-    """The entries and tables that the step tables hold now."""
-    return len(families._TABLES) + sum(map(len, families._TABLES.values()))
+def _memo_held():
+    """The families, readings, tables and table entries that the memo holds now."""
+    return len(families._MEMO) + sum(len(table) for table in families._MEMO.values() if type(table) is dict)
 
 
 def _bound_memo(patch, bound):
-    """Bound the intern table and the step tables at ``bound`` each."""
-    patch.setattr(families, "_READINGS_MAX", bound)
-    patch.setattr(families, "_TABLES_MAX", bound)
+    """Bound the memo at ``bound``."""
+    patch.setattr(families, "_MEMO_MAX", bound)
 
 
 def _memo_within_bound():
-    """Whether the intern table and the step tables hold no more than their bounds."""
-    return len(families._READINGS) <= families._READINGS_MAX and _tables_size() <= families._tables_size <= families._TABLES_MAX
+    """Whether the memo holds no more than it counts, and counts no more than its bound."""
+    return _memo_held() <= families._memo_size <= families._MEMO_MAX
 
 
 # Gamma at finite, limit and successor-of-limit indices, with the max_n of
@@ -814,15 +820,15 @@ def _point_answers(family, path):
 
 class TestInternedReadings:
     """A Gamma reading is interned: one object per reading, compared and
-    hashed by identity, in a table bounded by ``_READINGS_MAX`` and cleared
-    when full.  The step tables are bounded by ``_TABLES_MAX`` and cleared
-    when full too.  No answer depends on which reading is which object, nor
-    on what the step tables hold."""
+    hashed by identity.  The families, the readings and the step tables
+    share one memo, bounded by ``_MEMO_MAX`` in all and cleared when full.
+    No answer depends on which reading or family is which object, nor on
+    what the memo holds."""
 
     @pytest.fixture(autouse=True)
     def fresh_tables(self):
-        # a clear leaves the step tables holding readings the intern table
-        # has forgotten; start and leave every test with neither
+        # a query that reads on across a clear fills tables the memo has
+        # forgotten; start and leave every test with an empty memo
         _forget_readings()
         yield
         _forget_readings()
@@ -848,7 +854,7 @@ class TestInternedReadings:
     def test_one_reading_at_index_0(self):
         zero = families._GAMMA_0
         assert G0._read(P("1")) == [zero] and G0._below(None, B(3)) == [(ONE, zero)]
-        families._READINGS.clear()
+        _forget_readings()
         assert G0._read(P("1"))[0] is zero and G1._read(P("1"))[0].inner[1] is zero
         # a reading equal in value but not interned is another reading
         assert families._Reading(True, 1, ()) != zero
@@ -882,15 +888,16 @@ class TestInternedReadings:
         budget = B(n)
         expected = family.truncate(budget), family.node_weights(budget), list(family.weighted_branches(budget))
         _forget_readings()
-        monkeypatch.setattr(families, "_READINGS_MAX", 8)
+        monkeypatch.setattr(families, "_MEMO_MAX", 8)
         sizes = []
         for _ in family._walk(budget):
-            sizes.append(len(families._READINGS))
-        assert max(sizes) <= 8 and any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared mid-walk
+            assert _memo_within_bound()
+            sizes.append(families._memo_size)
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared mid-walk
         branches = list(family.weighted_branches(budget))
         assert (family.truncate(budget), family.node_weights(budget), branches) == expected
         assert [(path, family.prefix_weights(path)) for path, _ in branches] == expected[2]
-        assert len(families._READINGS) <= 8
+        assert _memo_within_bound()
 
     @pytest.mark.parametrize("case", READ_CASES, ids=[f"Gamma_{family.xi}" for family, _ in READ_CASES])
     def test_a_small_table_gives_the_same_ranks(self, case, monkeypatch):
@@ -898,12 +905,13 @@ class TestInternedReadings:
         nodes = _read_nodes(family, n)
         expected = [family.rank(path) for path in nodes]
         _forget_readings()
-        monkeypatch.setattr(families, "_READINGS_MAX", 8)
+        monkeypatch.setattr(families, "_MEMO_MAX", 8)
         ranks, sizes = [], []
         for path in nodes:
             ranks.append(family.rank(path))
-            sizes.append(len(families._READINGS))
-        assert max(sizes) <= 8 and any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared between queries
+            assert _memo_within_bound()
+            sizes.append(families._memo_size)
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared between queries
         assert ranks == expected
 
     def test_a_reading_fixes_its_subtree_in_every_family(self):
@@ -941,15 +949,18 @@ class TestInternedReadings:
     def test_the_tables_answer_as_the_uncached_step(self, case, tables, data):
         family, n = case
         paths = _draw_paths(data, case)
-        before = _tables_state()
+        before, scratch = _tables_state(), {}
         with pytest.MonkeyPatch.context() as patch:
             # every table a fresh one, that nothing keeps: each label, at
-            # every index level, is stepped by ``_step``
+            # every index level, is stepped by ``_step``; the readings and
+            # families go to a scratch memo
             patch.setattr(families._Family, "_read", _uncached_read)
             patch.setattr(families, "_table", lambda key: {})
-            patch.setattr(families, "_grown", lambda: None)
+            patch.setattr(families, "_MEMO", scratch)
+            patch.setattr(families, "_memo_size", 0)
             expected = [_point_answers(family, path) for path in paths]
         assert _tables_state() == before and expected[0] is not None
+        assert not any(type(value) is dict for value in scratch.values())
         with pytest.MonkeyPatch.context() as patch:
             if tables == "warm":  # by another family's queries, then by these
                 other = data.draw(st.sampled_from(FOLD_CASES))
@@ -959,10 +970,10 @@ class TestInternedReadings:
             else:
                 _forget_readings()
             if tables == "bound 8":
-                patch.setattr(families, "_TABLES_MAX", 8)
+                patch.setattr(families, "_MEMO_MAX", 8)
             for path, answer in zip(paths, expected):
                 assert _point_answers(family, path) == answer, path
-                assert tables != "bound 8" or _tables_size() <= 8
+                assert _memo_within_bound()
 
     @pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
     def test_each_family_keeps_its_own_root_tables(self, order):
@@ -1001,12 +1012,24 @@ class TestInternedReadings:
                 super().clear()
 
         _forget_readings()
-        monkeypatch.setattr(families, "_TABLES", Tables())
-        monkeypatch.setattr(families, "_TABLES_MAX", 8)
+        monkeypatch.setattr(families, "_MEMO", Tables())
+        monkeypatch.setattr(families, "_MEMO_MAX", 8)
         for _ in range(3):
             assert _point_answers(family, path) == expected and family.member(path + path[-1:]) is False
-            assert _tables_size() <= 8
+            assert _memo_within_bound()
         assert len(clears) > 3
+
+    def test_named_families_stay_within_the_bound(self, monkeypatch):
+        # more distinct T and Gamma indices than the bound, one family each;
+        # t_family once kept every family it was asked for
+        monkeypatch.setattr(families, "_MEMO_MAX", 64)
+        sizes = []
+        for k in range(300):
+            assert t_family(Ordinal(k)).xi == k and gamma_family(OMEGA + k).xi == OMEGA + k
+            assert _memo_within_bound()
+            sizes.append(families._memo_size)
+        assert sum(b < a for a, b in zip(sizes, sizes[1:])) >= 600 // 64
+        assert t_family(Ordinal(5)) is t_family(Ordinal(5)) and make_family("Gamma", 5) is gamma_family(Ordinal(5))
 
 
 # T and Gamma at finite, successor, limit and successor-of-limit indices:
