@@ -821,9 +821,9 @@ def _point_answers(family, path):
 class TestInternedReadings:
     """A Gamma reading is interned: one object per reading, compared and
     hashed by identity.  The families, the readings and the step tables
-    share one memo, bounded by ``_MEMO_MAX`` in all and cleared when full.
-    No answer depends on which reading or family is which object, nor on
-    what the memo holds."""
+    share one memo, bounded by ``_MEMO_MAX`` (131,072) in all and cleared
+    when full.  No answer depends on which reading or family is which
+    object, nor on what the memo holds."""
 
     @pytest.fixture(autouse=True)
     def fresh_tables(self):
