@@ -54,7 +54,7 @@ from typing import (
 )
 
 from .btree import FiniteBTree, NodePath, _field, _Frozen, _frac_text, _json_object, path_to_text
-from .ordinal import _INT, Ordinal, _is_int
+from .ordinal import _INT, _RATIONAL, Ordinal, _is_int
 
 if TYPE_CHECKING:
     from .families import TruncationBudget
@@ -100,14 +100,19 @@ def _on_ints(vectors) -> Tuple[int, List[List[int]]]:
 
 
 def _rational(x) -> Fraction:
+    """An int, a Fraction, or text of ``_RATIONAL``'s grammar, as a Fraction.
+    A float is refused, finite or not: JSON's 0.1 is no exact 1/10."""
     if type(x) is Fraction:  # immutable, so taken as it is
         return x
+    text = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
     try:
-        if isinstance(x, bool) or x != x:  # JSON true, false and NaN are not numbers
-            raise TypeError
-        return Fraction(x)
-    except (ZeroDivisionError, TypeError, OverflowError):
-        raise ValueError(f"not a rational: {x!r}") from None
+        if text:
+            return Fraction(int(text[1]), int(text[2] or 1))
+        if _is_int(x) or isinstance(x, Fraction):  # JSON true and false are not numbers
+            return Fraction(x)
+    except ZeroDivisionError:  # p/0
+        pass
+    raise ValueError(f"not a rational: {x!r}")
 
 
 class ModelSpace(_Frozen):

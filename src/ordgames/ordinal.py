@@ -59,6 +59,7 @@ OrdinalLike = Union["Ordinal", int, str]
 
 _TOKEN = re.compile(r"\s*([0-9]+|[w^*+()])\s*")  # ASCII digits: \d takes any decimal digit
 _INT = re.compile(r"-?[0-9]+")  # a CLI int argument or a move text's index, by the same digit rule
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # a model or game file's rational text, p or p/q, by the same rule
 
 # Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
 # parsing recurse once per level, so text nested much deeper would end in

@@ -243,6 +243,23 @@ class TestModelSpace:
         with pytest.raises(ValueError, match=f"^not a rational: {value}$"):
             ModelSpace(**args)
 
+    @pytest.mark.parametrize(
+        "value", ["١/٢", "１/２", "1_0/20", "+1/2", " 1/2 ", "1/2\n", "0.5", "5E-1", "1/-2", "1/0", "", 0.5, 0.1, None]
+    )
+    @pytest.mark.parametrize("field", ["epsilon", "weight"])
+    def test_rationals_read_by_one_grammar(self, field, value):
+        # ASCII digits p or p/q after an optional minus, and no float: the
+        # text Fraction alone would read as 1/2, and JSON's 0.1
+        with pytest.raises(ValueError, match=f"^not a rational: {re.escape(repr(value))}$"):
+            if field == "epsilon":
+                whole_space_model(eps=value)
+            else:
+                GameSpec(FiniteBTree([(ONE,)]), whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
+
+    @pytest.mark.parametrize("value, expected", [("1/2", HALF), ("02/04", HALF), ("-0", 0), ("7", 7), (3, 3), (HALF, HALF)])
+    def test_rationals_in_the_grammar(self, value, expected):
+        assert ModelSpace(1, [[]], [[[value]]], [["1"]], HALF).compacts[0][0][0] == expected
+
 
 class TestGameSpecValidation:
     def test_weights_must_cover_tree(self):
