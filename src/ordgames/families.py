@@ -42,6 +42,14 @@ tables.  ``_below`` gives a node's children with their states; the walk
 that ``truncate`` and the branch enumerations share builds every node's
 state from its parent's with it, asks it once per distinct state, keeps its
 answers in a memo freed when the walk ends, and adds no step table.
+A family keeps one slot: the last path it read, or that its branch walk
+yielded, with the states of that path's prefixes.  A query handed that
+same path object answers from the slot, so that asking ``member``, ``rank``
+and ``weight`` of one path, or ``prefix_weights`` of each branch that
+``maximal_branches`` yields, folds each path at most once.  Only a tuple of
+``Ordinal`` labels is kept, as no other path is sure not to change between
+two queries.  A family pickles and copies as ``make_family(kind, xi)``,
+never with its slot.
 The families, the interned readings and the step tables share one memo of
 at most 131,072 items, a table entry counting as one, cleared when full:
 that costs only re-reading, as no answer depends on which object is which.
@@ -132,6 +140,9 @@ def _kept(key, value):
     return value
 
 
+_UNREAD = object()  # the path of a family's slot before its first read, which no caller holds
+
+
 def _table(key) -> dict:
     """The step table of ``key``, a state or a family's root; made on first use."""
     table = _MEMO.get(key)
@@ -150,31 +161,51 @@ class _Family:
     queries fold ``_step`` over their path through the step tables, one
     lookup per label, and ``_step`` runs only on a table miss; the walk
     carries every node's state down from its parent's, so it reads no path,
-    and asks ``_below`` once per distinct state.
+    and asks ``_below`` once per distinct state.  The slot ``_last`` holds
+    the last path read or yielded, a tuple of ``Ordinal`` labels, and its
+    prefixes' states, read-only values that outlive a clear of the memo;
+    ``__reduce__`` leaves it out of pickles and copies.
     """
 
     kind: str
 
     def __init__(self, xi: Ordinal):
         self.xi = Ordinal(xi)
+        self._last = (_UNREAD, ())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.xi})"
 
-    def _read(self, path: NodePath) -> list:
-        """The states of the nonempty prefixes of ``path``; [] for a non-member.
-        A label that is no ``Ordinal`` is read by ``Ordinal`` first: 1, 1.0 and True hash alike."""
-        states, state, table = [], None, _MEMO.get(self) or _table(self)
+    def __reduce__(self):
+        # by kind and index, so that pickles and copies hold no slot or reading
+        return make_family, (self.kind, self.xi)
+
+    def _read(self, path: NodePath) -> tuple:
+        """The states of the nonempty prefixes of ``path``; () for a non-member.
+        The slot's when ``path`` is the object it holds, else ``_fold``'s."""
+        last, states = self._last
+        return states if path is last else self._fold(path)
+
+    def _fold(self, path: NodePath) -> tuple:
+        """``_read`` by the step tables, keeping the answer in the slot when
+        ``path`` is a tuple of ``Ordinal`` labels, which cannot change.  A
+        label that is no ``Ordinal`` is read by ``Ordinal`` first: 1, 1.0 and
+        True hash alike."""
+        states, state, table, kept = [], None, _MEMO.get(self) or _table(self), type(path) is tuple
         for label in path:
             if type(label) is not Ordinal:
                 try:
-                    label = Ordinal(label)
+                    label, kept = Ordinal(label), False
                 except OrdinalError:
-                    return []
+                    return ()
             state, table = table.get(label) or self._learn(table, state, label)
             if state is None:
-                return []
+                states = []
+                break
             states.append(state)
+        states = tuple(states)
+        if kept:
+            self._last = path, states
         return states
 
     def _learn(self, table: dict, state, label: Ordinal) -> tuple:
@@ -185,7 +216,7 @@ class _Family:
         table[label] = entry
         return entry
 
-    def _states(self, path: NodePath) -> list:
+    def _states(self, path: NodePath) -> tuple:
         states = self._read(path)
         if not states:
             text = path_to_text(tuple(path)) or "the empty path"
@@ -223,9 +254,19 @@ class _Family:
                     below = pushes[state] = self._below(state, budget)[::-1]
                 stack.extend((path + (label,), child) for label, child in below)
 
+    def _branches(self, budget: TruncationBudget) -> Iterator[tuple]:
+        # (path, its prefixes' states) per maximal branch, each left in the
+        # slot as it is yielded, so that a query of the branch reads no label
+        states: list = []  # the path's: the walk is pre-order
+        for path, state in self._walk(budget):
+            states[len(path) - 1 :] = [state]
+            if self._leaf(state):
+                self._last = last = path, tuple(states)
+                yield last
+
     def maximal_branches(self, budget: TruncationBudget) -> Iterator[NodePath]:
         """Lazily yield paths maximal in the full family, up to the budget."""
-        return (path for path, state in self._walk(budget) if self._leaf(state))
+        return (path for path, _ in self._branches(budget))
 
     def truncate(self, budget: TruncationBudget) -> FiniteBTree:
         """The finite B-tree of all members reachable within the budget."""
@@ -395,11 +436,7 @@ class GammaFamily(_Family):
 
     def weighted_branches(self, budget: TruncationBudget) -> Iterator[Tuple[NodePath, Tuple[Fraction, ...]]]:
         """``maximal_branches`` with the prefix weights of each, from one walk."""
-        prefixes: List[_Reading] = []  # the path's readings: the walk is pre-order
-        for path, reading in self._walk(budget):
-            prefixes[len(path) - 1 :] = [reading]
-            if reading.maximal:
-                yield path, tuple(prefix.weight for prefix in prefixes)
+        return ((path, tuple(reading.weight for reading in states)) for path, states in self._branches(budget))
 
 
 class _Reading:

@@ -1,3 +1,4 @@
+import collections
 import copy
 import functools
 import itertools
@@ -853,7 +854,7 @@ class TestInternedReadings:
 
     def test_one_reading_at_index_0(self):
         zero = families._GAMMA_0
-        assert G0._read(P("1")) == [zero] and G0._below(None, B(3)) == [(ONE, zero)]
+        assert G0._read(P("1")) == (zero,) and G0._below(None, B(3)) == [(ONE, zero)]
         _forget_readings()
         assert G0._read(P("1"))[0] is zero and G1._read(P("1"))[0].inner[1] is zero
         # a reading equal in value but not interned is another reading
@@ -1032,6 +1033,122 @@ class TestInternedReadings:
         assert t_family(Ordinal(5)) is t_family(Ordinal(5)) and make_family("Gamma", 5) is gamma_family(Ordinal(5))
 
 
+def _count_folds(patch):
+    """Count each family's folds of a path, the reads its slot does not answer."""
+    folds, fold = collections.Counter(), families._Family._fold
+
+    def counted(family, path):
+        folds[family] += 1
+        return fold(family, path)
+
+    patch.setattr(families._Family, "_fold", counted)
+    return folds
+
+
+def _pickled(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+class TestReadSlot:
+    """Each family keeps the last path object it read or yielded, with its
+    prefixes' states: a query handed that same object folds no label.  Only a
+    tuple of ``Ordinal`` labels is kept, as no other path is sure not to
+    change between two queries."""
+
+    @pytest.fixture(autouse=True)
+    def folds(self, monkeypatch):
+        _forget_readings()
+        yield _count_folds(monkeypatch)
+        _forget_readings()
+
+    def test_one_fold_per_path_object(self, folds):
+        path = P("w+3,w+2,w+1,2")
+        assert (G2.member(path), G2.is_maximal(path), G2.rank(path), G2.weight(path)) == (True, False, ONE, Fraction(1, 4))
+        assert G2.prefix_weights(path) == (Fraction(1, 6),) * 3 + (Fraction(1, 4),)
+        assert G2.branch_weight_sum(path) == (Fraction(3, 4), False) and G2.children(path, B(2)) == [ONE]
+        assert folds == {G2: 1}
+
+    def test_an_equal_tuple_is_folded_again(self, folds):
+        path = P("3,2")
+        other = tuple(list(path))
+        assert other == path and other is not path
+        assert G1.rank(path) == G1.rank(other) == ONE and G1.rank(path) == ONE
+        assert folds == {G1: 3}
+
+    def test_a_mutated_list_path(self, folds):
+        path = list(P("3,2"))
+        assert G1.member(path) and G1.rank(path) == ONE
+        path[1] = Ordinal(3)
+        assert not G1.member(path)
+        with pytest.raises(ValueError, match="is not a member"):
+            G1.rank(path)
+        path[1:] = [Ordinal(2), ONE]
+        assert G1.is_maximal(path)
+        assert folds == {G1: 5}
+
+    def test_a_mutated_pair_list_label(self, folds):
+        label = [(ZERO, 2)]  # 2, as (exponent, coefficient) pairs
+        path = (Ordinal(3), label)
+        assert G1.member(path) and not G1.is_maximal(path)
+        label[0] = (ZERO, 3)
+        assert not G1.member(path)
+        label[0] = (ZERO, 2)
+        assert G1.rank(path) == ONE
+        assert folds == {G1: 4}
+
+    @pytest.mark.parametrize("path", [(3, 2), ("3", "2"), (Ordinal(3), 2), ("3", Ordinal(2))])
+    def test_int_and_text_labels_are_folded_each_time(self, folds, path):
+        assert G1.member(path) and G1.rank(path) == ONE and not G1.is_maximal(path)
+        assert folds == {G1: 3}
+
+    def test_one_path_asked_of_two_families(self, folds):
+        path = P("w+1")
+        T_W1 = t_family(OMEGA + 1)
+        for _ in range(2):
+            assert G2.member(path) and G2.rank(path) == OMEGA
+            assert not G1.member(path)
+            assert T_W1.is_maximal(path) is False and T_W1.rank(path) == OMEGA
+        assert folds == {G2: 1, G1: 1, T_W1: 1}
+
+    def test_a_non_member_then_a_member(self, folds):
+        outside, inside = P("2,2"), P("2,1")
+        assert not G1.member(outside)
+        with pytest.raises(ValueError, match="2,2 is not a member"):
+            G1.weight(outside)
+        assert G1.member(inside) and G1.weight(inside) == Fraction(1, 2)
+        assert not G1.member(outside)
+        assert folds == {G1: 3}
+
+    @pytest.mark.parametrize("case", READ_CASES, ids=[f"Gamma_{family.xi}" for family, _ in READ_CASES])
+    def test_queries_of_walked_branches(self, case, folds, monkeypatch):
+        # each branch, as the walk yields it, is left in the slot with its
+        # readings; under a bound of 8 the memo clears within the walk
+        family, n = case
+        budget = B(n, max_depth=4)
+        expected = {path: answer[2] for path, answer in gamma_members(family.xi, n, 4).items() if answer[1]}
+        monkeypatch.setattr(families, "_MEMO_MAX", 8)
+        queried = [(branch, family.prefix_weights(branch)) for branch in family.maximal_branches(budget)]
+        assert not folds
+        assert queried == list(family.weighted_branches(budget))
+        assert dict(queried) == expected and len(queried) == len(expected)
+        assert _memo_within_bound()
+
+    @pytest.mark.parametrize("kind, xi", [("Gamma", "2"), ("Gamma", "w"), ("T", "3"), ("T", "w*2")])
+    @pytest.mark.parametrize("clone", [_pickled, copy.deepcopy, copy.copy], ids=["pickle", "deepcopy", "copy"])
+    def test_pickle_and_copy_after_queries_and_a_walk(self, kind, xi, clone, folds):
+        # a family pickles and copies by its kind and index, never its slot
+        family = make_family(kind, Ordinal(xi))
+        branch = next(family.maximal_branches(B(2)))
+        answers = family.member(branch), family.rank(branch)
+        assert clone(family) is family
+        assert (family.member(branch), family.rank(branch)) == answers and folds[family] == 0
+        # a family the memo has let go of comes back as a new object
+        _forget_readings()
+        other = clone(family)
+        assert type(other) is type(family) and other.xi == family.xi and other is not family
+        assert (other.member(branch), other.rank(branch)) == answers and folds[other] == 1
+
+
 # T and Gamma at finite, successor, limit and successor-of-limit indices:
 # (kind, xi, max_n, max_len), the oracle's caps and the walks' budget
 MEMO_CASES = [
@@ -1076,37 +1193,69 @@ class MemoMachine(RuleBasedStateMachine):
     def family(self, case, fresh):
         return make_family(case[0], Ordinal(case[1])) if fresh else self.held[case]
 
-    @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans(), data=st.data())
-    def query(self, case, fresh, data):
-        family, (budget, built, labels) = self.family(case, fresh), _memo_oracle(case)
+    def draw_path(self, case, data):
+        """A prefix of an oracle member (the empty path, at times), then labels."""
+        built, labels = _memo_oracle(case)[1:]
         if data.draw(st.booleans()):
             path = data.draw(st.sampled_from(sorted(built)))
             path = path[: data.draw(st.integers(0, len(path)))]
         else:
             path = ()
         tail = data.draw(st.lists(st.sampled_from(labels), max_size=case[3] - len(path)))
-        path += tuple(tail)
-        kind = data.draw(st.sampled_from(["member", "is_maximal", "rank", "children"] + ["weight"] * (case[0] == "Gamma")))
+        return path + tuple(tail)
+
+    def ask(self, family, case, path, kind):
+        """Ask ``kind`` of ``path``, a tuple or a list, and check the answer against the oracle."""
+        budget, built, _ = _memo_oracle(case)
+        key = tuple(path)
         if kind == "member":
-            assert family.member(path) is (path in built), path
-        elif path not in built and (path or kind != "children"):
+            assert family.member(path) is (key in built), path
+        elif key not in built and (path or kind != "children"):
             with pytest.raises(ValueError, match="is not a member"):
                 getattr(family, kind)(path) if kind != "children" else family.children(path, budget)
         elif kind == "children":
             below = family.children(path, budget)
-            rank = built[path][0] if path else Ordinal(case[1])
+            rank = built[key][0] if path else Ordinal(case[1])
             if case[0] == "Gamma":
                 if len(path) < case[3]:
-                    assert below == sorted(p[-1] for p in built if p[:-1] == path), path
+                    assert below == sorted(p[-1] for p in built if p[:-1] == key), path
             elif rank.is_limit:
                 assert len(below) == budget.max_n and below == sorted(set(below))
                 assert all(mu.is_successor and mu < rank for mu in below)
             else:
                 assert below == ([rank] if rank.is_successor else [])
         else:
-            rank, maximal = built[path][:2]
-            expected = {"is_maximal": maximal, "rank": rank, "weight": built[path][2][-1] if kind == "weight" else None}
+            rank, maximal, *weights = built[key]  # T has no weights
+            expected = {"is_maximal": maximal, "rank": rank, "prefix_weights": weights and weights[0]}
+            expected["weight"] = weights and weights[0][-1]
             assert getattr(family, kind)(path) == expected[kind], path
+
+    @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans(), data=st.data())
+    def query(self, case, fresh, data):
+        path = self.draw_path(case, data)
+        kind = data.draw(st.sampled_from(["member", "is_maximal", "rank", "children"] + ["weight"] * (case[0] == "Gamma")))
+        self.ask(self.family(case, fresh), case, path, kind)
+
+    @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans(), as_list=st.booleans(), data=st.data())
+    def queries_of_one_path(self, case, fresh, as_list, data):
+        # one path object asked again and again, in a drawn order: the
+        # family's slot answers a tuple after the first query; a list is
+        # changed in place at times between queries, and read each time
+        family, path, labels = self.family(case, fresh), self.draw_path(case, data), _memo_oracle(case)[2]
+        path = list(path) if as_list else path
+        kinds = ["member", "is_maximal", "rank", "children"] + ["weight", "prefix_weights"] * (case[0] == "Gamma")
+        for kind in data.draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=6)):
+            if as_list and path and data.draw(st.booleans()):
+                path[-1] = data.draw(st.sampled_from(labels))
+            self.ask(family, case, path, kind)
+
+    @rule(cases=st.lists(st.sampled_from(MEMO_CASES), min_size=2, max_size=3), data=st.data())
+    def one_path_of_several_families(self, cases, data):
+        # one path object asked of several families answers in each as an
+        # equal tuple that it reads afresh: each family has its own slot
+        path = self.draw_path(cases[0], data)
+        expected = [_point_answers(self.held[case], tuple(list(path))) for case in cases]
+        assert [_point_answers(self.held[case], path) for case in cases] == expected, path
 
     @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans())
     def walk(self, case, fresh):
@@ -1123,6 +1272,15 @@ class MemoMachine(RuleBasedStateMachine):
             assert nodes <= set(built)
             branches = list(family.maximal_branches(budget))
             assert sorted(branches) == sorted(path for path in nodes if built[path][1])
+
+    @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans(), data=st.data())
+    def queries_of_walked_branches(self, case, fresh, data):
+        # point queries of each branch as the walk yields it, which leaves
+        # the branch in the family's slot
+        family, budget = self.family(case, fresh), _memo_oracle(case)[0]
+        kinds = ["member", "is_maximal", "rank"] + ["weight", "prefix_weights"] * (case[0] == "Gamma")
+        for branch in itertools.islice(family.maximal_branches(budget), data.draw(st.integers(1, 40))):
+            self.ask(family, case, branch, data.draw(st.sampled_from(kinds)))
 
     @rule()
     def clear(self):
