@@ -162,9 +162,8 @@ class _Family:
     lookup per label, and ``_step`` runs only on a table miss; the walk
     carries every node's state down from its parent's, so it reads no path,
     and asks ``_below`` once per distinct state.  The slot ``_last`` holds
-    the last path read or yielded, a tuple of ``Ordinal`` labels, and its
-    prefixes' states, read-only values that outlive a clear of the memo;
-    ``__reduce__`` leaves it out of pickles and copies.
+    the last path read or yielded and its prefixes' states, values that
+    outlive a clear of the memo; ``__reduce__`` keeps it out of pickles.
     """
 
     kind: str
