@@ -89,11 +89,17 @@ EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 
 @pytest.mark.parametrize("name", [name for name, _ in read_cases()])
 def test_case_keeps_cli_contract(manifest, name):
-    # exit 0 with a silent stderr, or exit 1 with no output and one error line
+    # exit 0 with a silent stderr, exit 1 with no output and one error line,
+    # or exit 2 (a usage error) with no output, the usage text and one error line
     entry = manifest[name]
+    error = entry["stderr"]
     if entry["exit"] == 0:
-        assert entry["stderr"] == ""
-    else:
-        assert entry["exit"] == 1 and entry["stdout_sha256"] == EMPTY_SHA256
-        error = entry["stderr"]
+        assert error == ""
+    elif entry["exit"] == 1:
+        assert entry["stdout_sha256"] == EMPTY_SHA256
         assert error.startswith("error: ") and error.endswith("\n") and error.count("\n") == 1
+    else:
+        assert entry["exit"] == 2 and entry["stdout_sha256"] == EMPTY_SHA256
+        lines = error.splitlines()
+        assert lines[0].startswith("usage: ordgames ") and "Traceback" not in error
+        assert lines[-1].startswith("ordgames ") and sum(": error: " in line for line in lines) == 1
