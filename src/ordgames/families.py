@@ -140,9 +140,6 @@ def _kept(key, value):
     return value
 
 
-_UNREAD = object()  # the path of a family's slot before its first read, which no caller holds
-
-
 def _table(key) -> dict:
     """The step table of ``key``, a state or a family's root; made on first use."""
     table = _MEMO.get(key)
@@ -170,7 +167,7 @@ class _Family:
 
     def __init__(self, xi: Ordinal):
         self.xi = Ordinal(xi)
-        self._last = (_UNREAD, ())
+        self._last = ((), ())  # () is the one path whose states are () without a fold
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.xi})"

@@ -696,17 +696,13 @@ def build_szlenk_game(
 # read from its parent's history, and each is given one text, from its parent's.
 
 
-def _move_to_text(move: Move) -> str:
-    zeta, zi, ci = move
-    return f"{zeta}:{zi}:{ci}"
-
-
-def _offer_to_text(offer: Offer) -> str:
-    return f"{offer[0]}:{offer[1]}"
+def _part_text(part: tuple) -> str:
+    """A move's or an offer's text: its label and indices joined by ":"."""
+    return ":".join(map(str, part))
 
 
 def history_to_text(history: History) -> str:
-    return ";".join(map(_move_to_text, history))
+    return ";".join(map(_part_text, history))
 
 
 def _history_texts(part_text: Callable[[tuple], str]) -> Callable[[tuple], str]:
@@ -849,14 +845,14 @@ def game_from_json(data: Union[dict, str]) -> GameSpec:
 
 
 def strategy_to_json(strategy: Strategy) -> dict:
-    text = _history_texts(cache(_move_to_text))
+    part_text = cache(_part_text)  # a history's moves and an offer alike
+    text = _history_texts(part_text)
     if strategy.player == "I":
         label_text = cache(str)
         rows = [(text(h), [label_text(zeta), zi]) for h, (zeta, zi) in strategy.moves.items()]
         rows.sort(key=itemgetter(0))
     else:
-        offer_text = cache(_offer_to_text)
-        rows = [((text(h), offer_text(o)), ci) for (h, o), ci in strategy.moves.items()]
+        rows = [((text(h), part_text(o)), ci) for (h, o), ci in strategy.moves.items()]
         rows.sort(key=itemgetter(0))
         rows = [(f"{h}|{o}", ci) for (h, o), ci in rows]
     return {"player": strategy.player, "moves": dict(rows)}
@@ -890,7 +886,7 @@ def strategy_from_json(data: Union[dict, str]) -> Strategy:
 
 def collections_to_json(collections: ExtractedCollections) -> dict:
     choices, functionals, selections = collections
-    text = _history_texts(cache(_offer_to_text))
+    text = _history_texts(cache(_part_text))
     vector_texts: Dict[int, List[str]] = {}  # by id: the vectors are few, and shared
 
     def vector_text(v: Vector) -> List[str]:

@@ -57,9 +57,12 @@ class OrdinalError(ValueError):
 
 OrdinalLike = Union["Ordinal", int, str]
 
-_TOKEN = re.compile(r"\s*([0-9]+|[w^*+()])\s*")  # ASCII digits: \d takes any decimal digit
-_INT = re.compile(r"-?[0-9]+")  # a CLI int argument or a move text's index, by the same digit rule
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # a model or game file's rational text, p or p/q, by the same rule
+# The digit run of every number text: ASCII digits (\d takes any decimal digit), at most
+# Python's default int-string limit of them, so that int() of a matched run never raises.
+_DIGITS = r"[0-9]{1,4300}(?![0-9])"
+_TOKEN = re.compile(rf"\s*({_DIGITS}|[w^*+()])\s*")  # a CNF text's token
+_INT = re.compile(rf"-?{_DIGITS}")  # a CLI int argument or a move text's index
+_RATIONAL = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?")  # a model or game file's rational text, p or p/q
 
 # Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
 # parsing recurse once per level, so text nested much deeper would end in
