@@ -6,7 +6,9 @@ virtual root use the empty tuple ``()`` as a sentinel.
 
 The derivative ``T' = T minus its maximal nodes`` drives everything here:
 ``order`` is the number of derivations needed to empty the tree, and the
-rank of a node is the last derivation stage it survives.
+rank of a node is the last derivation stage it survives.  A node is maximal
+exactly when it does not survive one derivation, so ranks decide maximality:
+``is_max`` and ``max_nodes`` read rank 0.
 """
 
 from __future__ import annotations
@@ -94,13 +96,13 @@ class FiniteBTree(_Frozen):
     """An immutable finite B-tree given by its explicit node set."""
 
     _FIELDS = ("nodes",)
-    __slots__ = ("_nodes", "_children", "_ranks")
+    __slots__ = ("nodes", "_children", "_ranks")
 
     def __init__(self, nodes: Iterable[NodePath] = ()):
         node_set = frozenset(tuple(n) for n in nodes)
         if () in node_set:
             raise ValueError("the empty sequence cannot be a member")
-        self._set(_nodes=node_set, _children=None, _ranks=None)
+        self._set(nodes=node_set, _children=None, _ranks=None)
 
     @classmethod
     def closure(cls, paths: Iterable[NodePath]) -> "FiniteBTree":
@@ -114,30 +116,26 @@ class FiniteBTree(_Frozen):
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def nodes(self) -> FrozenSet[NodePath]:
-        return self._nodes
-
     def __contains__(self, path: NodePath) -> bool:
-        return tuple(path) in self._nodes
+        return tuple(path) in self.nodes
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     def __iter__(self) -> Iterator[NodePath]:
-        return iter(sorted(self._nodes))
+        return iter(sorted(self.nodes))
 
     def __repr__(self) -> str:
-        return f"FiniteBTree({len(self._nodes)} nodes)"
+        return f"FiniteBTree({len(self.nodes)} nodes)"
 
     def validate(self) -> bool:
         """True iff the node set is closed under nonempty initial segments."""
-        return all(t[:-1] in self._nodes for t in self._nodes if len(t) > 1)
+        return all(t[:-1] in self.nodes for t in self.nodes if len(t) > 1)
 
     def _child_index(self) -> Dict[NodePath, List[Ordinal]]:
         if self._children is None:
             index: Dict[NodePath, List[Ordinal]] = {}
-            for t in self._nodes:
+            for t in self.nodes:
                 index.setdefault(t[:-1], []).append(t[-1])
             for labels in index.values():
                 labels.sort()
@@ -152,26 +150,22 @@ class FiniteBTree(_Frozen):
         return self.children_labels(())
 
     def is_max(self, path: NodePath) -> bool:
-        path = tuple(path)
-        if path not in self._nodes:
-            raise ValueError(f"{path_to_text(path) or 'the empty path'} is not a member")
-        return not self._child_index().get(path)
+        return self.rank(path) == 0
 
     def max_nodes(self) -> FrozenSet[NodePath]:
-        index = self._child_index()
-        return frozenset(t for t in self._nodes if not index.get(t))
+        return frozenset(t for t, rank in self._rank_index().items() if not rank)
 
     # -- derivative calculus ------------------------------------------------
 
     def derive(self) -> "FiniteBTree":
-        return FiniteBTree(self._nodes - self.max_nodes())
+        return FiniteBTree(self.nodes - self.max_nodes())
 
     def _rank_index(self) -> Dict[NodePath, int]:
         # heights of strict-extension subtrees, computed bottom-up
         if self._ranks is None:
             index = self._child_index()
             ranks: Dict[NodePath, int] = {}
-            for t in sorted(self._nodes, key=len, reverse=True):
+            for t in sorted(self.nodes, key=len, reverse=True):
                 kids = index.get(t)
                 ranks[t] = 1 + max(ranks[t + (c,)] for c in kids) if kids else 0
             self._set(_ranks=ranks)
@@ -187,14 +181,14 @@ class FiniteBTree(_Frozen):
 
     def order(self) -> int:
         """Least k with the k-th derivative empty."""
-        if not self._nodes:
+        if not self.nodes:
             return 0
         return 1 + max(self._rank_index().values())
 
     def order_by_derivation(self) -> int:
         """Same as ``order`` but by literally iterating ``derive``."""
         tree, steps = self, 0
-        while tree._nodes:
+        while tree.nodes:
             tree = tree.derive()
             steps += 1
         return steps
@@ -202,7 +196,7 @@ class FiniteBTree(_Frozen):
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"nodes": [[str(label) for label in t] for t in sorted(self._nodes)]}
+        return {"nodes": [[str(label) for label in t] for t in self]}
 
     @classmethod
     def from_json(cls, data: Union[dict, str]) -> "FiniteBTree":

@@ -28,6 +28,11 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
+def _print(answer) -> None:
+    """A one-line answer: a bool as true or false, anything else as its text."""
+    print(("true" if answer else "false") if isinstance(answer, bool) else answer)
+
+
 def _budget(args):
     from .families import budget_from_json
     flags = {"max_n": args.max_n, "max_depth": args.max_depth}
@@ -126,7 +131,7 @@ def _run_tree(args) -> None:
     from .btree import FiniteBTree, path_from_text
     tree = FiniteBTree.from_json(_read_json(args.file))
     if args.verb == "validate":
-        print("true" if tree.validate() else "false")
+        _print(tree.validate())
         return
     if not tree.validate():
         raise ValueError("not a valid B-tree")
@@ -146,16 +151,12 @@ def _run_family(args) -> None:
         print(path_to_text(phi(path_from_text(args.path))))
         return
     family = make_family(args.kind, Ordinal(args.xi))
-    if args.verb == "member":
-        print("true" if family.member(path_from_text(args.path)) else "false")
-    elif args.verb == "maximal":
-        print("true" if family.is_maximal(path_from_text(args.path)) else "false")
-    elif args.verb == "weight":
-        if args.kind != "Gamma":
+    if args.verb in ("member", "maximal", "weight", "rank"):  # the point queries
+        if args.verb == "weight" and args.kind != "Gamma":
             raise ValueError("weights are defined on the Gamma family only")
-        print(_frac_text(family.weight(path_from_text(args.path))))
-    elif args.verb == "rank":
-        print(family.rank(path_from_text(args.path)))
+        query = family.is_maximal if args.verb == "maximal" else getattr(family, args.verb)
+        answer = query(path_from_text(args.path))
+        _print(_frac_text(answer) if args.verb == "weight" else answer)
     elif args.verb == "children":
         labels = family.children(path_from_text(args.path), _budget(args))
         print(",".join(str(label) for label in labels))
@@ -207,7 +208,7 @@ def _run_game(args) -> None:
         data = data["strategy"]
     strategy = games.strategy_from_json(data)
     if args.verb == "verify":
-        print("true" if games.verify_strategy(game, strategy) else "false")
+        _print(games.verify_strategy(game, strategy))
     else:  # extract
         collections = games.extract_collections(game, strategy)
         _emit_json(games.collections_to_json(collections))

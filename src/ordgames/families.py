@@ -435,7 +435,7 @@ class GammaFamily(_Family):
         return ((path, tuple(reading.weight for reading in states)) for path, states in self._branches(budget))
 
 
-class _Reading:
+class _Reading(_Frozen):
     """A member of a Gamma family as its walk and its queries see it: its
     maximality, rank, weight and all that its children depend on, and
     nothing that grows with its length, so it fixes its subtree in every
@@ -443,6 +443,7 @@ class _Reading:
     (``_GAMMA_0`` aside), so it is compared and hashed by identity."""
 
     __slots__ = ("maximal", "denominator", "inner", "weight", "rank")
+    __eq__, __hash__, __repr__ = object.__eq__, object.__hash__, object.__repr__
 
     maximal: bool
     denominator: int  # the node weighs 1 / denominator
@@ -458,11 +459,7 @@ class _Reading:
     rank: Ordinal
 
     def __init__(self, maximal: bool, denominator: int, inner: tuple, rank: Ordinal = ZERO):
-        for name, value in zip(self.__slots__, (maximal, denominator, inner, Fraction(1, denominator), rank)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("_Reading is read-only")
+        self._set(maximal=maximal, denominator=denominator, inner=inner, weight=Fraction(1, denominator), rank=rank)
 
 
 _GAMMA_0 = _Reading(True, 1, ())  # the one reading at index 0, never interned

@@ -207,7 +207,8 @@ class ModelSpace(_Frozen):
 
 
 class GameSpec(_Frozen):
-    """A game: tree, move alphabets, node weights (read-only) and a payoff set.
+    """A game: tree, move alphabets (``n_subspaces`` and ``n_compacts`` long),
+    node weights (read-only) and a payoff set.
 
     Built once: the node arena, which numbers the tree's nodes (0 is the
     virtual root) and holds per id ``_kids``, the node's ``{label: child id}``
@@ -222,8 +223,8 @@ class GameSpec(_Frozen):
     """
 
     _FIELDS = ("tree", "model", "weights", "payoff")
-    __slots__ = _FIELDS + ("_kids", "_int_weights", "_int_peaks", "_bar", "_offer_table",
-                           "_states", "_ids", "_steps", "_wins", "_witness")
+    __slots__ = _FIELDS + ("n_subspaces", "n_compacts", "_kids", "_int_weights", "_int_peaks", "_bar",
+                           "_offer_table", "_states", "_ids", "_steps", "_wins", "_witness")
 
     def __init__(
         self,
@@ -256,7 +257,8 @@ class GameSpec(_Frozen):
             raise ValueError(f"weight for {path_to_text(stray)}, which is not a tree node")
         if payoff != PAYOFF_SZLENK:
             payoff = frozenset(tuple(tuple(m) for m in h) for h in payoff)
-        self._set(tree=tree, model=model, weights=MappingProxyType(weights), payoff=payoff)
+        self._set(tree=tree, model=model, weights=MappingProxyType(weights), payoff=payoff,
+                  n_subspaces=len(model.subspaces), n_compacts=len(model.compacts))
         gains, eps = model._gains, model.epsilon
         dw = math.lcm(*(w.denominator for w in node_weights))
         dp = math.lcm(*(p.denominator for row in gains for _, ps in row for p, _ in ps or ()))
@@ -276,14 +278,6 @@ class GameSpec(_Frozen):
 
     def __reduce__(self):  # a mappingproxy does not pickle
         return GameSpec, (self.tree, self.model, dict(self.weights), self.payoff)
-
-    @property
-    def n_subspaces(self) -> int:
-        return len(self.model.subspaces)
-
-    @property
-    def n_compacts(self) -> int:
-        return len(self.model.compacts)
 
     def prefix_weights(self, node: NodePath) -> List[Fraction]:
         return [self.weights[node[: i + 1]] for i in range(len(node))]
@@ -775,6 +769,10 @@ def _read_items(items: dict, entry: Callable[[str, object], tuple], what: str) -
     return found
 
 
+def _vector_text(v: Vector) -> List[str]:
+    return [_frac_text(x) for x in v]
+
+
 def game_to_json(game: GameSpec) -> dict:
     model = game.model
     data = {
@@ -782,13 +780,9 @@ def game_to_json(game: GameSpec) -> dict:
         "weights": {path_to_text(node): _frac_text(w) for node, w in game.weights.items()},
         "model": {
             "dim": model.dim,
-            "subspaces": [
-                [[_frac_text(x) for x in row] for row in m] for m in model.subspaces
-            ],
-            "compacts": [
-                [[_frac_text(x) for x in v] for v in c] for c in model.compacts
-            ],
-            "functionals": [[_frac_text(x) for x in f] for f in model.functionals],
+            "subspaces": [list(map(_vector_text, m)) for m in model.subspaces],
+            "compacts": [list(map(_vector_text, c)) for c in model.compacts],
+            "functionals": list(map(_vector_text, model.functionals)),
             "epsilon": _frac_text(model.epsilon),
             "norm": model.norm,
         },
@@ -891,7 +885,7 @@ def collections_to_json(collections: ExtractedCollections) -> dict:
 
     def vector_text(v: Vector) -> List[str]:
         if id(v) not in vector_texts:
-            vector_texts[id(v)] = [_frac_text(x) for x in v]
+            vector_texts[id(v)] = _vector_text(v)
         return list(vector_texts[id(v)])
 
     compacts = sorted(((text(s), ci) for s, ci in choices.items()), key=itemgetter(0))
