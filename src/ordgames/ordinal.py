@@ -14,7 +14,8 @@ Text syntax (accepted by ``Ordinal(...)`` and emitted by ``str``):
     w^(w+1)*5        ->  w^(w+1)*5
 
 Non-canonical input such as ``1+w`` is re-normalized by the addition rules
-rather than rejected.
+rather than rejected.  Every digit run has at most 4,300 digits, so an
+ordinal with a longer coefficient has no text: ``str`` raises OrdinalError.
 
 ``Ordinal(...)`` is the one checked entry point, for outside input: an int,
 CNF text, or an iterable of (exponent, coefficient) pairs, whose exponents
@@ -59,7 +60,10 @@ OrdinalLike = Union["Ordinal", int, str]
 
 # The digit run of every number text: ASCII digits (\d takes any decimal digit), at most
 # Python's default int-string limit of them, so that int() of a matched run never raises.
-_DIGITS = r"[0-9]{1,4300}(?![0-9])"
+# str refuses a coefficient of _UNPRINTABLE or more, whose text no reader would take.
+_MAX_DIGITS = 4300
+_DIGITS = rf"[0-9]{{1,{_MAX_DIGITS}}}(?![0-9])"
+_UNPRINTABLE = 10**_MAX_DIGITS
 _TOKEN = re.compile(rf"\s*({_DIGITS}|[w^*+()])\s*")  # a CNF text's token
 _INT = re.compile(rf"-?{_DIGITS}")  # a CLI int argument or a move text's index
 _RATIONAL = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?")  # a model or game file's rational text, p or p/q
@@ -232,6 +236,8 @@ class Ordinal(tuple):
             return "0"
         parts = []
         for e, c in self:
+            if c >= _UNPRINTABLE:
+                raise OrdinalError(f"a coefficient of more than {_MAX_DIGITS} digits has no CNF text")
             if not e:
                 parts.append(str(c))
                 continue

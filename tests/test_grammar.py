@@ -14,13 +14,14 @@ import contextlib
 import io
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordgames import cli
 from ordgames.btree import _frac_text, path_from_text, path_to_text
 from ordgames.games import _rational, history_from_text, history_to_text
-from ordgames.ordinal import Ordinal
+from ordgames.ordinal import Ordinal, OrdinalError
 
 # README: a digit run is ASCII 0-9, at most 4,300 digits; CNF text may have
 # whitespace around any token; a term is a number or w, w^e with e a number
@@ -124,8 +125,13 @@ class TestDifferentialGrammar:
         text = without_parentheses(text)
         value = read(Ordinal, text)
         assert (value is not None) is bool(CNF.fullmatch(text)), text
-        if value is not None and has_text(value):
+        if value is None:
+            return
+        if has_text(value):
             assert Ordinal(str(value)) == value and str(Ordinal(str(value))) == str(value)
+        else:  # the writer refuses it, under any int-string limit of the interpreter
+            with pytest.raises(OrdinalError, match="^a coefficient of more than 4300 digits has no CNF text$"):
+                str(value)
 
     @SETTINGS
     @given(texts())
