@@ -4,8 +4,9 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import finite_btrees
+from conftest import finite_btrees, small_labels
 from ordgames.btree import FiniteBTree, path_from_text, path_to_text, verify_monotone_map
 from ordgames.ordinal import Ordinal
 
@@ -46,6 +47,46 @@ class TestMaxNodes:
     def test_is_max_names_the_missing_path(self, path):
         with pytest.raises(ValueError, match=f"^{path or 'the empty path'} is not a member$"):
             chain(3).is_max(P(path))
+
+
+# node sets with no closure under prefixes, so that a node's parent may be missing
+node_sets = st.lists(st.lists(small_labels, min_size=1, max_size=4).map(tuple), max_size=6).map(FiniteBTree)
+
+
+class TestNodeOrderAndMaximality:
+    """``__iter__`` holds the one sort of the nodes, which ``to_json`` follows,
+    and ranks decide maximality, on node sets not closed under prefixes too."""
+
+    @staticmethod
+    def check(tree):
+        ordered = sorted(tree.nodes)
+        assert list(tree) == ordered
+        assert tree.to_json()["nodes"] == [[str(label) for label in t] for t in ordered]
+        leaves = {t for t in tree.nodes if not tree.children_labels(t)}
+        assert {t for t in tree.nodes if tree.is_max(t)} == leaves == tree.max_nodes()
+
+    def test_not_prefix_closed(self):
+        tree = FiniteBTree([P("2,1"), P("1")])
+        assert not tree.validate()
+        assert list(tree) == [P("1"), P("2,1")]
+        assert tree.to_json() == {"nodes": [["1"], ["2", "1"]]}
+        assert tree.is_max(P("1")) and tree.is_max(P("2,1"))
+        assert tree.max_nodes() == {P("1"), P("2,1")}
+        self.check(tree)
+
+    @given(finite_btrees())
+    def test_trees(self, tree):
+        self.check(tree)
+
+    @given(node_sets)
+    def test_node_sets(self, tree):
+        self.check(tree)
+
+    def test_nodes_cannot_be_assigned(self):
+        tree = chain(2)
+        with pytest.raises(AttributeError, match="^FiniteBTree is immutable$"):
+            tree.nodes = frozenset()
+        assert tree.nodes == {P("2"), P("2,1")}
 
 
 class TestDerive:

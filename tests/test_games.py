@@ -376,6 +376,14 @@ class TestGameSpecValidation:
             game.weights = {}
         assert game == game_from_json(game_to_json(game))
 
+    def test_alphabet_sizes_are_read_only(self):
+        game = build_szlenk_game(ONE, TruncationBudget(2), ModelSpace(epsilon=HALF, **W_SZLENK))
+        assert (game.n_subspaces, game.n_compacts) == (3, 3)
+        for name in ("n_subspaces", "n_compacts"):
+            with pytest.raises(AttributeError, match="^GameSpec is immutable$"):
+                setattr(game, name, 1)
+        assert (game.n_subspaces, game.n_compacts) == (3, 3)
+
 
 class TestEvalPayoff:
     def test_single_node_true(self):
