@@ -14,8 +14,9 @@ Text syntax (accepted by ``Ordinal(...)`` and emitted by ``str``):
     w^(w+1)*5        ->  w^(w+1)*5
 
 Non-canonical input such as ``1+w`` is re-normalized by the addition rules
-rather than rejected.  Every digit run has at most 4,300 digits, so an
-ordinal with a longer coefficient has no text: ``str`` raises OrdinalError.
+rather than rejected.  Every digit run has at most 4,300 digits and
+parentheses nest at most 300 deep, so an ordinal with a longer coefficient,
+or nested deeper, has no text: ``str`` raises OrdinalError.
 
 ``Ordinal(...)`` is the one checked entry point, for outside input: an int,
 CNF text, or an iterable of (exponent, coefficient) pairs, whose exponents
@@ -68,9 +69,9 @@ _TOKEN = re.compile(rf"\s*({_DIGITS}|[w^*+()])\s*")  # a CNF text's token
 _INT = re.compile(rf"-?{_DIGITS}")  # a CLI int argument or a move text's index
 _RATIONAL = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?")  # a model or game file's rational text, p or p/q
 
-# Deepest parenthesis nesting accepted in CNF text.  Printing, comparing and
-# parsing recurse once per level, so text nested much deeper would end in
-# RecursionError instead of an OrdinalError.
+# Deepest parenthesis nesting accepted in CNF text, and printed: str refuses a
+# deeper ordinal.  Printing, comparing and parsing recurse once per level, so
+# text nested much deeper would end in RecursionError instead of an OrdinalError.
 _MAX_NESTING = 300
 
 
@@ -232,6 +233,11 @@ class Ordinal(tuple):
     # -- text --------------------------------------------------------------
 
     def __str__(self) -> str:
+        return self._text(_MAX_NESTING)
+
+    def _text(self, levels: int) -> str:
+        """The CNF text, in at most ``levels`` nested parentheses; an
+        OrdinalError where a reader would refuse the text."""
         if not self:
             return "0"
         parts = []
@@ -241,7 +247,12 @@ class Ordinal(tuple):
             if not e:
                 parts.append(str(c))
                 continue
-            base = "w" if e == ONE else f"w^({e})"
+            if e == ONE:
+                base = "w"
+            elif levels:
+                base = f"w^({e._text(levels - 1)})"
+            else:
+                raise OrdinalError(f"an ordinal nested deeper than {_MAX_NESTING} levels has no CNF text")
             parts.append(base if c == 1 else f"{base}*{c}")
         return "+".join(parts)
 
