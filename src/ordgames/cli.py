@@ -28,8 +28,7 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _print(answer) -> None:
-    """A one-line answer: a bool as true or false, anything else as its text."""
+def _print(answer) -> None:  # a one-line answer, a bool as true or false
     print(("true" if answer else "false") if isinstance(answer, bool) else answer)
 
 

@@ -14,9 +14,8 @@ Text syntax (accepted by ``Ordinal(...)`` and emitted by ``str``):
     w^(w+1)*5        ->  w^(w+1)*5
 
 Non-canonical input such as ``1+w`` is re-normalized by the addition rules
-rather than rejected.  Every digit run has at most 4,300 digits and
-parentheses nest at most 300 deep, so an ordinal with a longer coefficient,
-or nested deeper, has no text: ``str`` raises OrdinalError.
+rather than rejected.  ``str`` raises OrdinalError where no reader would take
+the text: a coefficient of more than 4,300 digits, or nesting past 300 levels.
 
 ``Ordinal(...)`` is the one checked entry point, for outside input: an int,
 CNF text, or an iterable of (exponent, coefficient) pairs, whose exponents
@@ -61,10 +60,9 @@ OrdinalLike = Union["Ordinal", int, str]
 
 # The digit run of every number text: ASCII digits (\d takes any decimal digit), at most
 # Python's default int-string limit of them, so that int() of a matched run never raises.
-# str refuses a coefficient of _UNPRINTABLE or more, whose text no reader would take.
 _MAX_DIGITS = 4300
 _DIGITS = rf"[0-9]{{1,{_MAX_DIGITS}}}(?![0-9])"
-_UNPRINTABLE = 10**_MAX_DIGITS
+_UNPRINTABLE = 10**_MAX_DIGITS  # the least coefficient that str refuses
 _TOKEN = re.compile(rf"\s*({_DIGITS}|[w^*+()])\s*")  # a CNF text's token
 _INT = re.compile(rf"-?{_DIGITS}")  # a CLI int argument or a move text's index
 _RATIONAL = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?")  # a model or game file's rational text, p or p/q
@@ -246,14 +244,11 @@ class Ordinal(tuple):
                 raise OrdinalError(f"a coefficient of more than {_MAX_DIGITS} digits has no CNF text")
             if not e:
                 parts.append(str(c))
-                continue
-            if e == ONE:
-                base = "w"
-            elif levels:
-                base = f"w^({e._text(levels - 1)})"
+            elif levels or e == ONE:
+                base = "w" if e == ONE else f"w^({e._text(levels - 1)})"
+                parts.append(base if c == 1 else f"{base}*{c}")
             else:
                 raise OrdinalError(f"an ordinal nested deeper than {_MAX_NESTING} levels has no CNF text")
-            parts.append(base if c == 1 else f"{base}*{c}")
         return "+".join(parts)
 
     def __repr__(self) -> str:
