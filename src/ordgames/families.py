@@ -38,10 +38,12 @@ member) and the child's own table, so a label costs one dict lookup.  A
 table is keyed by its state, which fixes it in every family (a Gamma
 reading by identity), and a family's root table by the family; ``_step``
 runs only on a miss and reads the index level below through the same
-tables.  ``_below`` gives a node's children with their states; the walk
-that ``truncate`` and the branch enumerations share builds every node's
-state from its parent's with it, asks it once per distinct state, keeps its
-answers in a memo freed when the walk ends, and adds no step table.
+tables.  ``_below`` gives a node's children with their states, once per
+state and ``max_n`` in the process: it keeps each answer, a list that no
+caller changes, keyed by the two (a root's by its family).  The walk that
+``truncate`` and the branch enumerations share builds every node's state
+from its parent's with it, asks it once per distinct state, keeps its
+answers in a dict freed when the walk ends, and adds no step table.
 A family keeps one slot: the last path it read, or that its branch walk
 yielded, with the states of that path's prefixes.  A query handed that
 same path object answers from the slot, so that asking ``member``, ``rank``
@@ -50,9 +52,11 @@ and ``weight`` of one path, or ``prefix_weights`` of each branch that
 ``Ordinal`` labels is kept, as no other path is sure not to change between
 two queries.  A family pickles and copies as ``make_family(kind, xi)``,
 never with its slot.
-The families, the interned readings and the step tables share one memo of
-at most 131,072 items, a table entry counting as one, cleared when full:
-that costs only re-reading, as no answer depends on which object is which.
+The families, the interned readings, the step tables and the children
+lists share one memo of at most 131,072 items, a table entry or a list's
+pair counting as one, cleared when full: that costs only re-reading, as no
+answer depends on which object is which.  A list that would count for more
+than that is given but not kept.
 A query that holds a table from before a clear reads on through it, and
 ``t_family(xi) is t_family(xi)`` holds only while the memo keeps the family.
 """
@@ -116,28 +120,36 @@ def _fundamental(lam: Ordinal, k: int) -> Ordinal:
 
 # the one memo: each family by (kind, xi), each interned Gamma reading by its
 # key, each step table {label: (child state, child's table)} by its state or a
-# root's by its family.  No two kinds of key compare equal: a (kind, xi) key
-# starts with a string, a reading's with a family and a T state, an Ordinal,
-# with an (exponent, coefficient) pair; families and readings hash by identity
+# root's by its family, and each children list [(label, child state)] by
+# (max_n, state) or a root's by (max_n, family).  No two kinds of key compare
+# equal: a (kind, xi) key starts with a string, a reading's with a family, a
+# list's with an int and a T state, an Ordinal, with an (exponent,
+# coefficient) pair; families and readings hash by identity
 _MEMO: dict = {}
-_MEMO_MAX = 1 << 17  # families, readings, tables and table entries, each counting as one
+_MEMO_MAX = 1 << 17  # families, readings, tables, table entries, lists and list pairs, each counting as one
 _memo_size = 0
 
 
-def _grown() -> None:
-    """Count one more family, reading, table or entry, after a clear if the memo is full."""
+def _grown(count: int = 1) -> None:
+    """Count ``count`` more items, after a clear if the memo has no room for them."""
     global _memo_size
-    if _memo_size >= _MEMO_MAX:
+    if _memo_size + count > _MEMO_MAX:
         _MEMO.clear()
         _memo_size = 0
-    _memo_size += 1
+    _memo_size += count
 
 
-def _kept(key, value):
-    """Keep ``value`` in the memo under ``key``, counted."""
-    _grown()
+def _kept(key, value, count: int = 1):
+    """Keep ``value`` in the memo under ``key``, counted as ``count`` items."""
+    _grown(count)
     _MEMO[key] = value
     return value
+
+
+def _expanded(key, pairs: list) -> list:
+    """``pairs``, a state's children, kept under ``key`` as one item per pair
+    and one for the list, unless that is more than the memo holds."""
+    return pairs if len(pairs) >= _MEMO_MAX else _kept(key, pairs, 1 + len(pairs))
 
 
 def _table(key) -> dict:
@@ -156,9 +168,11 @@ class _Family:
     it backwards (the state of the child ``label``, None where it is no
     member), and ``_leaf(state)`` says whether a member is maximal.  The public
     queries fold ``_step`` over their path through the step tables, one
-    lookup per label, and ``_step`` runs only on a table miss; the walk
-    carries every node's state down from its parent's, so it reads no path,
-    and asks ``_below`` once per distinct state.  The slot ``_last`` holds
+    lookup per label, and ``_step`` runs only on a table miss; ``_below``
+    keeps its answers in the memo, by ``max_n`` and state, and looks them up
+    inline, so that a Gamma index level costs one frame.  The walk carries
+    every node's state down from its parent's, so it reads no path, and
+    asks ``_below`` once per distinct state.  The slot ``_last`` holds
     the last path read or yielded and its prefixes' states, values that
     outlive a clear of the memo; ``__reduce__`` keeps it out of pickles.
     """
@@ -285,12 +299,16 @@ class TFamily(_Family):
         return label if label.is_successor and (label == xi or (xi.is_limit and label < xi)) else None
 
     def _below(self, above: Optional[Ordinal], budget: TruncationBudget) -> List[Tuple[Ordinal, Ordinal]]:
+        key = (budget.max_n, self if above is None else above)
+        pairs = _MEMO.get(key)
+        if pairs is not None:
+            return pairs
         xi = self.xi if above is None else above.pred()
         if xi.is_zero:
-            return []
+            return _expanded(key, [])
         if xi.is_successor:
-            return [(xi, xi)]
-        return [(label, label) for label in (_fundamental(xi, k) + 1 for k in range(budget.max_n))]
+            return _expanded(key, [(xi, xi)])
+        return _expanded(key, [(label, label) for label in (_fundamental(xi, k) + 1 for k in range(budget.max_n))])
 
     def _leaf(self, label: Ordinal) -> bool:
         return label == ONE
@@ -380,26 +398,30 @@ class GammaFamily(_Family):
         # sorted list on the left keeps it sorted.  A maximal reading has
         # nothing below it, and every reading at 0 is maximal.  At a limit,
         # one rule over (component, state): each component's root at the root
+        key = (budget.max_n, self if reading is None else reading)
+        pairs = _MEMO.get(key)
+        if pairs is not None:
+            return pairs
         xi = self.xi
         if reading is None:
             if xi.is_zero:
-                return [(ONE, _GAMMA_0)]
+                return _expanded(key, [(ONE, _GAMMA_0)])
             if xi.is_successor:  # the first block, whose quotient is n - 1
                 pairs = self._down._below(None, budget)
-                return [(self._label(q, r), _in_block(self, q, s, q + 1))
-                        for q in range(budget.max_n) for r, s in pairs]
+                return _expanded(key, [(self._label(q, r), _in_block(self, q, s, q + 1))
+                                       for q in range(budget.max_n) for r, s in pairs])
             components = [(gamma_family(_fundamental(xi, k) + 1), None) for k in range(budget.max_n)]
         elif reading.maximal:
-            return []
+            return _expanded(key, [])
         elif xi.is_successor:
             q, last, n = reading.inner
             if last.maximal:  # so q > 0: only the next block may open
                 q, last = q - 1, None
-            return [(self._label(q, r), _in_block(self, q, s, n)) for r, s in self._down._below(last, budget)]
+            return _expanded(key, [(self._label(q, r), _in_block(self, q, s, n)) for r, s in self._down._below(last, budget)])
         else:
             components = [reading.inner]
-        return [(component._label(1, r), _in_component(component, s))
-                for component, state in components for r, s in component._below(state, budget)]
+        return _expanded(key, [(component._label(1, r), _in_component(component, s))
+                               for component, state in components for r, s in component._below(state, budget)])
 
     def _leaf(self, reading: _Reading) -> bool:
         return reading.maximal
