@@ -17,7 +17,7 @@ import json
 from functools import cache
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple, Union
 
-from .ordinal import Ordinal
+from .ordinal import Ordinal, _json_int
 
 __all__ = ["NodePath", "FiniteBTree", "verify_monotone_map", "path_from_text", "path_to_text"]
 
@@ -38,7 +38,7 @@ def path_to_text(path: NodePath) -> str:
 def _json_object(data, what: str) -> dict:
     """``data``, parsed first when it is JSON text; a ValueError unless an object."""
     if isinstance(data, str):
-        data = json.loads(data)
+        data = json.loads(data, parse_int=_json_int)
     if not isinstance(data, dict):
         raise ValueError(f"a {what} must be a JSON object")
     return data

@@ -11,7 +11,7 @@ import itertools
 import json
 import sys
 
-from .ordinal import _INT, Ordinal, compare, omega_pow, quot_rem_omega_pow
+from .ordinal import _INT, Ordinal, _json_int, compare, omega_pow, quot_rem_omega_pow
 
 # Each verb group imports the layers it uses when it runs, so that a process
 # loads no more of the package than its verb needs.
@@ -19,9 +19,9 @@ from .ordinal import _INT, Ordinal, compare, omega_pow, quot_rem_omega_pow
 
 def _read_json(path: str):
     if path == "-":
-        return json.load(sys.stdin)
+        return json.load(sys.stdin, parse_int=_json_int)
     with open(path) as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=_json_int)
 
 
 def _emit_json(data) -> None:

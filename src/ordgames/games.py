@@ -54,7 +54,7 @@ from typing import (
 )
 
 from .btree import FiniteBTree, NodePath, _field, _Frozen, _frac_text, _json_object, path_to_text
-from .ordinal import _INT, _RATIONAL, Ordinal, _is_int
+from .ordinal import _INT, _MAX_DIGITS, _RATIONAL, _UNPRINTABLE, Ordinal, _is_int
 
 if TYPE_CHECKING:
     from .families import TruncationBudget
@@ -101,9 +101,12 @@ def _on_ints(vectors) -> Tuple[int, List[List[int]]]:
 
 def _rational(x) -> Fraction:
     """An int, a Fraction, or text of ``_RATIONAL``'s grammar, as a Fraction.
-    A float is refused, finite or not: JSON's 0.1 is no exact 1/10."""
+    A float is refused, finite or not: JSON's 0.1 is no exact 1/10.  So is an
+    int of more than 4,300 digits, whose text no reader takes."""
     if type(x) is Fraction:  # immutable, so taken as it is
         return x
+    if _is_int(x) and not -_UNPRINTABLE < x < _UNPRINTABLE:
+        raise ValueError(f"not a rational: an int of more than {_MAX_DIGITS} digits")
     text = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
     try:
         if text:

@@ -67,6 +67,14 @@ _TOKEN = re.compile(rf"\s*({_DIGITS}|[w^*+()])\s*")  # a CNF text's token
 _INT = re.compile(rf"-?{_DIGITS}")  # a CLI int argument or a move text's index
 _RATIONAL = re.compile(rf"(-?{_DIGITS})(?:/({_DIGITS}))?")  # a model or game file's rational text, p or p/q
 
+
+def _json_int(text: str) -> int:
+    """A JSON document's integer, held to the digit run of every number text
+    (``json``'s ``parse_int``), whatever the interpreter's own limit."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"a JSON integer of more than {_MAX_DIGITS} digits")
+    return int(text)
+
 # Deepest parenthesis nesting accepted in CNF text, and printed: str refuses a
 # deeper ordinal.  Printing, comparing and parsing recurse once per level, so
 # text nested much deeper would end in RecursionError instead of an OrdinalError.

@@ -485,6 +485,31 @@ class TestGame:
         result = run_cli(capsys, "game", "build", "1", str(model_file))
         assert result == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("limit", [None, 0], ids=["default-limit", "limit-off"])
+    def test_json_integers_keep_the_digit_bound(self, capsys, tmp_path, limit):
+        # a JSON integer is a number text too: 4,300 digits are read, 4,301
+        # are refused with one message, whatever the interpreter's int limit
+        old = sys.get_int_max_str_digits()
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            model_file, tree_file = tmp_path / "model.json", tmp_path / "tree.json"
+            for digits, code in ((4300, 0), (4301, 1)):
+                model_file.write_text(json.dumps(W_SZLENK_MODEL).replace('"epsilon": "1/2"', '"epsilon": ' + "1" * digits))
+                tree_file.write_text('{"nodes": [[' + "1" * digits + "]]}")
+                budget = '{"max_n": ' + "1" * digits + "}"
+                results = [
+                    run_cli(capsys, "game", "build", "1", str(model_file), "--max-n", "1"),
+                    run_cli(capsys, "tree", "validate", str(tree_file)),
+                    run_cli(capsys, "family", "children", "T", "3", "--budget", budget),
+                ]
+                if code:
+                    assert results == [(1, "", "error: a JSON integer of more than 4300 digits\n")] * 3
+                else:
+                    assert [result[0] for result in results] == [0, 0, 0] and results[2][1] == "3\n"
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_bool_weight_is_a_domain_error(self, capsys, tmp_path):
         game_file = self.build_game_file(capsys, tmp_path)
         game = json.loads(game_file.read_text())

@@ -260,6 +260,17 @@ class TestModelSpace:
     def test_rationals_in_the_grammar(self, value, expected):
         assert ModelSpace(1, [[]], [[[value]]], [["1"]], HALF).compacts[0][0][0] == expected
 
+    @pytest.mark.parametrize("value", [10**4300, -(10**4300), 10**5000], ids=["4301", "-4301", "5001"])
+    @pytest.mark.parametrize("field", ["epsilon", "weight"])
+    def test_ints_past_the_digit_bound_are_not_rationals(self, field, value):
+        # a library caller's int whose text no reader would take; 4,300 digits are kept
+        with pytest.raises(ValueError, match="^not a rational: an int of more than 4300 digits$"):
+            if field == "epsilon":
+                whole_space_model(eps=value)
+            else:
+                GameSpec(FiniteBTree([(ONE,)]), whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
+        assert whole_space_model(eps=10**4300 - 1).epsilon == 10**4300 - 1
+
 
 class TestGameSpecValidation:
     def test_weights_must_cover_tree(self):
