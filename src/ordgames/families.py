@@ -417,7 +417,8 @@ class GammaFamily(_Family):
             q, last, n = reading.inner
             if last.maximal:  # so q > 0: only the next block may open
                 q, last = q - 1, None
-            return _expanded(key, [(self._label(q, r), _in_block(self, q, s, n)) for r, s in self._down._below(last, budget)])
+            return _expanded(key, [(self._label(q, r), _in_block(self, q, s, n))
+                                   for r, s in self._down._below(last, budget)])
         else:
             components = [reading.inner]
         return _expanded(key, [(component._label(1, r), _in_component(component, s))
