@@ -740,8 +740,9 @@ def _tables_state():
 
 
 def _memo_held():
-    """The families, readings, tables and table entries that the memo holds now."""
-    return len(families._MEMO) + sum(len(table) for table in families._MEMO.values() if type(table) is dict)
+    """The families, readings, tables, table entries, children lists and list
+    pairs that the memo holds now."""
+    return len(families._MEMO) + sum(len(value) for value in families._MEMO.values() if type(value) in (dict, list))
 
 
 def _bound_memo(patch, bound):
@@ -1033,6 +1034,85 @@ class TestInternedReadings:
         assert t_family(Ordinal(5)) is t_family(Ordinal(5)) and make_family("Gamma", 5) is gamma_family(Ordinal(5))
 
 
+class TestBelowMemo:
+    """``_below`` keeps each answer in the memo, keyed by ``max_n`` and state
+    (a root's by its family), so that a walk of a family and budget expands
+    no state that an earlier walk expanded; an answer is a list of pairs
+    that counts as one item per pair and one for the list, and one that
+    would count for more than the bound is given but not kept."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        _forget_readings()
+        yield
+        _forget_readings()
+
+    @pytest.mark.parametrize(
+        "family, max_n",
+        [(t_family(omega_pow(3)), 3), (G2, 3), (GW, 2), (gamma_family(OMEGA + 1), 2)],
+        ids=["T_w^3", "Gamma_2", "Gamma_w", "Gamma_w+1"],
+    )
+    def test_a_second_walk_keeps_and_reads_nothing_new(self, family, max_n, monkeypatch):
+        budget = B(max_n)
+
+        def walks():
+            answers = [family.truncate(budget), list(family.maximal_branches(budget))]
+            if family.kind == "Gamma":
+                answers += [family.node_weights(budget), list(family.weighted_branches(budget))]
+            return answers
+
+        first, size = walks(), families._memo_size
+        assert any(type(value) is list for value in families._MEMO.values())
+        built, reading = [], families._Reading
+        monkeypatch.setattr(families, "_Reading", lambda *args: built.append(args) or reading(*args))
+        assert walks() == first
+        assert families._memo_size == size and built == []
+        assert _memo_within_bound()
+
+    @pytest.mark.parametrize("family", [t_family(omega_pow(2)), G2, GW, gamma_family(OMEGA + 1)],
+                             ids=["T_w^2", "Gamma_2", "Gamma_w", "Gamma_w+1"])
+    def test_walks_at_other_max_n_answer_as_the_reference(self, family):
+        # each reference from an empty memo; then 2, 3 and 2 again in one
+        # memo, which must not answer a walk at one max_n from another's;
+        # three labels deep, as Gamma_w at max_n 3 has 173,130 nodes
+        expected = {}
+        for n in (2, 3):
+            _forget_readings()
+            expected[n] = reference_walk(family, B(n, max_depth=3)), family.children((), B(n))
+        _forget_readings()
+        for n in (2, 3, 2):
+            (nodes, branches), roots = expected[n]
+            assert [path for path, _ in family._walk(B(n, max_depth=3))] == nodes
+            assert list(family.maximal_branches(B(n, max_depth=3))) == branches
+            assert family.children((), B(n)) == roots
+        assert len(expected[3][0][0]) > len(expected[2][0][0])
+
+    def test_a_root_of_more_pairs_than_the_bound_is_not_kept(self, monkeypatch):
+        # T_w's root at max_n 20 has 20 children, Gamma_2's at max_n 4 has 16
+        cases = [(t_family(OMEGA), B(20)), (G2, B(4))]
+        expected = [family.children((), budget) for family, budget in cases]
+        assert [len(labels) for labels in expected] == [20, 16]
+        for (family, budget), labels in zip(cases, expected):
+            _forget_readings()
+            monkeypatch.setattr(families, "_MEMO_MAX", 8)
+            t_family(OMEGA), G2  # noqa: B018 -- named in the memo, as a fresh process would
+            assert family.children((), budget) == labels
+            assert (budget.max_n, family) not in families._MEMO
+            assert all(len(value) < 8 for value in families._MEMO.values() if type(value) is list)
+            assert _memo_within_bound()
+            if family.kind == "T":  # it reads no state, so the memo keeps nothing new
+                assert not any(type(value) is list for value in families._MEMO.values())
+            monkeypatch.undo()
+
+    def test_walks_a_deep_finite_index_twice(self):
+        # from an empty memo, the first walk expands all 700 index levels,
+        # one frame each; the second answers from the memo
+        family = gamma_family(Ordinal(700))
+        for _ in range(2):
+            assert family.truncate(B(1)) == FiniteBTree.closure([(ONE,)])
+        assert (1, family) in families._MEMO
+
+
 def _count_folds(patch):
     """Count each family's folds of a path, the reads its slot does not answer."""
     folds, fold = collections.Counter(), families._Family._fold
@@ -1281,6 +1361,28 @@ class MemoMachine(RuleBasedStateMachine):
         kinds = ["member", "is_maximal", "rank"] + ["weight", "prefix_weights"] * (case[0] == "Gamma")
         for branch in itertools.islice(family.maximal_branches(budget), data.draw(st.integers(1, 40))):
             self.ask(family, case, branch, data.draw(st.sampled_from(kinds)))
+
+    @rule(case=st.sampled_from(MEMO_CASES), fresh=st.booleans(), shift=st.sampled_from([-1, 1]), data=st.data())
+    def walk_at_another_max_n(self, case, fresh, shift, data):
+        # every other rule uses the case's own max_n: here a walk, or the
+        # children of walked nodes, at a max_n next to it, against
+        # reference_walk made in a scratch memo, at the shipped bound, which
+        # holds one max_n only; two labels shorter than the case's paths, as
+        # Gamma_(w*2) at max_n 3 has 94,173 nodes three labels deep
+        family, budget = self.family(case, fresh), _memo_oracle(case)[0]
+        other = B(budget.max_n + shift, max_depth=case[3] - 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(families, "_MEMO", {})
+            patch.setattr(families, "_memo_size", 0)
+            patch.setattr(families, "_MEMO_MAX", 1 << 17)
+            nodes, branches = reference_walk(family, other)
+            paths = [()] + data.draw(st.lists(st.sampled_from(nodes), max_size=4)) if nodes else [()]
+            below = [family.children(path, other) for path in paths]
+        if data.draw(st.booleans()):
+            assert [path for path, _ in family._walk(other)] == nodes
+            assert list(family.maximal_branches(other)) == branches
+        else:
+            assert [family.children(path, other) for path in paths] == below
 
     @rule()
     def clear(self):
