@@ -1095,7 +1095,6 @@ class TestBelowMemo:
         for (family, budget), labels in zip(cases, expected):
             _forget_readings()
             monkeypatch.setattr(families, "_MEMO_MAX", 8)
-            t_family(OMEGA), G2  # noqa: B018 -- named in the memo, as a fresh process would
             assert family.children((), budget) == labels
             assert (budget.max_n, family) not in families._MEMO
             assert all(len(value) < 8 for value in families._MEMO.values() if type(value) is list)
