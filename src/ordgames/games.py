@@ -101,21 +101,22 @@ def _on_ints(vectors) -> Tuple[int, List[List[int]]]:
 
 def _rational(x) -> Fraction:
     """An int, a Fraction, or text of ``_RATIONAL``'s grammar, as a Fraction.
-    A float is refused, finite or not: JSON's 0.1 is no exact 1/10.  So is an
-    int of more than 4,300 digits, whose text no reader takes."""
-    if type(x) is Fraction:  # immutable, so taken as it is
+    A float is refused, finite or not: JSON's 0.1 is no exact 1/10.  So is a
+    number whose numerator or denominator has more than 4,300 digits, as no
+    reader takes its text."""
+    if type(x) is not Fraction:  # a Fraction is immutable, so taken as it is
+        text = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
+        try:
+            if text:  # of at most 4,300 digits each, so its lowest terms too
+                return Fraction(int(text[1]), int(text[2] or 1))
+            if not (_is_int(x) or isinstance(x, Fraction)):  # JSON true and false are not numbers
+                raise ValueError(f"not a rational: {x!r}")
+            x = Fraction(x)
+        except ZeroDivisionError:  # p/0
+            raise ValueError(f"not a rational: {x!r}") from None
+    if -_UNPRINTABLE < x.numerator < _UNPRINTABLE and x.denominator < _UNPRINTABLE:
         return x
-    if _is_int(x) and not -_UNPRINTABLE < x < _UNPRINTABLE:
-        raise ValueError(f"not a rational: an int of more than {_MAX_DIGITS} digits")
-    text = _RATIONAL.fullmatch(x) if isinstance(x, str) else None
-    try:
-        if text:
-            return Fraction(int(text[1]), int(text[2] or 1))
-        if _is_int(x) or isinstance(x, Fraction):  # JSON true and false are not numbers
-            return Fraction(x)
-    except ZeroDivisionError:  # p/0
-        pass
-    raise ValueError(f"not a rational: {x!r}")
+    raise ValueError(f"not a rational: a numerator or denominator of more than {_MAX_DIGITS} digits")
 
 
 class ModelSpace(_Frozen):

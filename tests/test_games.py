@@ -260,16 +260,22 @@ class TestModelSpace:
     def test_rationals_in_the_grammar(self, value, expected):
         assert ModelSpace(1, [[]], [[[value]]], [["1"]], HALF).compacts[0][0][0] == expected
 
-    @pytest.mark.parametrize("value", [10**4300, -(10**4300), 10**5000], ids=["4301", "-4301", "5001"])
+    @pytest.mark.parametrize(
+        "value",
+        [10**4300, -(10**4300), 10**5000, Fraction(10**4300), Fraction(-(10**4300), 3), Fraction(1, 10**4300)],
+        ids=["4301", "-4301", "5001", "fraction-4301", "fraction-numerator-4301", "fraction-denominator-4301"],
+    )
     @pytest.mark.parametrize("field", ["epsilon", "weight"])
-    def test_ints_past_the_digit_bound_are_not_rationals(self, field, value):
-        # a library caller's int whose text no reader would take; 4,300 digits are kept
-        with pytest.raises(ValueError, match="^not a rational: an int of more than 4300 digits$"):
+    def test_numbers_past_the_digit_bound_are_not_rationals(self, field, value):
+        # a library caller's int or Fraction whose text no reader would take;
+        # 4,300 digits are kept, above and below the bar
+        with pytest.raises(ValueError, match="^not a rational: a numerator or denominator of more than 4300 digits$"):
             if field == "epsilon":
                 whole_space_model(eps=value)
             else:
                 GameSpec(FiniteBTree([(ONE,)]), whole_space_model(), {(ONE,): value}, PAYOFF_SZLENK)
-        assert whole_space_model(eps=10**4300 - 1).epsilon == 10**4300 - 1
+        for kept in (10**4300 - 1, Fraction(10**4300 - 1, 10**4300 - 2)):
+            assert whole_space_model(eps=kept).epsilon == kept
 
 
 class TestGameSpecValidation:
