@@ -1048,11 +1048,13 @@ class TestBelowMemo:
         _forget_readings()
 
     @pytest.mark.parametrize(
-        "family, max_n",
-        [(t_family(omega_pow(3)), 3), (G2, 3), (GW, 2), (gamma_family(OMEGA + 1), 2)],
+        "family, max_n, nodes, lists",
+        [(t_family(omega_pow(3)), 3, 498, 16), (G2, 3, 108, 42), (GW, 2, 15, 22), (gamma_family(OMEGA + 1), 2, 150, 53)],
         ids=["T_w^3", "Gamma_2", "Gamma_w", "Gamma_w+1"],
     )
-    def test_a_second_walk_keeps_and_reads_nothing_new(self, family, max_n, monkeypatch):
+    def test_a_second_walk_keeps_and_reads_nothing_new(self, family, max_n, nodes, lists, monkeypatch):
+        # the first walk keeps one list per state it expands, at every index
+        # level (Gamma_2's include Gamma_1's and Gamma_0's); the next keep none
         budget = B(max_n)
 
         def walks():
@@ -1062,7 +1064,8 @@ class TestBelowMemo:
             return answers
 
         first, size = walks(), families._memo_size
-        assert any(type(value) is list for value in families._MEMO.values())
+        assert len(first[0]) == nodes
+        assert sum(type(value) is list for value in families._MEMO.values()) == lists
         built, reading = [], families._Reading
         monkeypatch.setattr(families, "_Reading", lambda *args: built.append(args) or reading(*args))
         assert walks() == first

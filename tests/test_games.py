@@ -1083,6 +1083,27 @@ class TestBuildSzlenkGame:
         assert winner == "II"
         assert verify_strategy(game, strategy)
 
+    def test_games_on_one_tree_expand_its_states_once(self, monkeypatch):
+        # games for several models on one Gamma_xi and budget, an epsilon
+        # sweep say, walk one family at one max_n again: the family memo
+        # answers that walk's forward rule, so no child reading is looked up
+        from ordgames import families
+
+        monkeypatch.setattr(families, "_MEMO", {})
+        monkeypatch.setattr(families, "_memo_size", 0)
+        calls = []
+        for name in ("_in_block", "_in_component"):
+            read = getattr(families, name)
+            monkeypatch.setattr(families, name, lambda *args, read=read: calls.append(args) or read(*args))
+        xi, budget = OMEGA + 1, TruncationBudget(2)
+        first = build_szlenk_game(xi, budget, whole_space_model())
+        assert calls and len(first.weights) == 150
+        calls.clear()
+        for eps in (Fraction(1, 4), 1, 2):
+            game = build_szlenk_game(xi, budget, whole_space_model(eps=eps))
+            assert game.weights == first.weights
+        assert calls == []
+
 
 class TestJsonRoundTrip:
     def test_game_round_trip(self):
